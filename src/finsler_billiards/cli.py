@@ -62,7 +62,7 @@ def _build_geometry(config: dict):
             f"metric dimension {metric.dim} does not match table dimension {table.dim}")
     if isinstance(metric, MagneticMetric):
         bound = validate_field_strength(metric, table)
-        logger.info("sampled drift norm bound %.3g", bound)
+        logger.info("drift norm bound %.3g", bound)
     return metric, table
 
 
@@ -70,7 +70,7 @@ def _search_config(config: dict) -> SearchConfig:
     raw = config.get("search", {})
     if not isinstance(raw, dict):
         raise InvalidParameters("'search' must be an object")
-    known = {"seeds", "rng_seed", "grad_tol", "epsilon", "cluster_tol", "max_iter", "jobs"}
+    known = {"seeds", "rng_seed", "grad_tol", "epsilon", "cluster_tol", "max_iter"}
     unknown = set(raw) - known
     if unknown:
         raise InvalidParameters(f"unknown search parameters: {sorted(unknown)}")
@@ -81,7 +81,6 @@ def _search_config(config: dict) -> SearchConfig:
         epsilon=raw.get("epsilon"),
         cluster_tol=raw.get("cluster_tol"),
         max_iter=int(raw.get("max_iter", 60)),
-        jobs=int(raw.get("jobs", 1)),
     )
 
 
@@ -270,10 +269,6 @@ def _apply_overrides(config: dict, args, mode: str) -> dict:
         config.setdefault("search", {})
         config["search"] = dict(config["search"])
         config["search"]["rng_seed"] = args.seed
-    if getattr(args, "jobs", None) is not None:
-        config.setdefault("search", {})
-        config["search"] = dict(config["search"])
-        config["search"]["jobs"] = args.jobs
     return config
 
 
@@ -297,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--seed", type=int, default=None, help="override rng seed")
     p_search.add_argument("--r", type=int, default=None, help="override the period")
     p_search.add_argument("--mode", default=None, help="must match the subcommand")
-    p_search.add_argument("--jobs", type=int, default=os.cpu_count(),
-                          help="worker threads for the multistart refinement")
     p_search.add_argument("--out", default=None, help="write the report here (default stdout)")
 
     p_trace = sub.add_parser("trace", help="dump a billiard or geodesic trajectory")

@@ -15,7 +15,6 @@ and guards against collapsed polygons with the edge-product threshold.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from .billiards import BoundaryState, billiard_step
 from .errors import (
     AmbiguousCanonicalization,
+    CoincidentPoints,
     FinslerBilliardsError,
     InvalidParameters,
     ZeroWinding,
@@ -56,7 +56,6 @@ __all__ = [
 _DISTINCT_REL = 1e-8
 _MIN_EDGE_REL = 1e-4
 _JAC_H_REL = 1e-6
-_HESS_H_REL = 1e-4
 _EIG_TOL_REL = 1e-6
 _CONTINUUM_REL = 1e-4
 
@@ -104,7 +103,6 @@ class SearchConfig:
     epsilon: float | None = None       # default 1e-9 * scale**r
     cluster_tol: float | None = None   # default 1e-5 * scale
     max_iter: int = 60
-    jobs: int = 1
 
     def resolved(self, table: ConvexTable, r: int) -> dict:
         s = table.scale
@@ -115,7 +113,6 @@ class SearchConfig:
             "epsilon": self.epsilon if self.epsilon is not None else 1e-9 * s**r,
             "cluster_tol": self.cluster_tol if self.cluster_tol is not None else 1e-5 * s,
             "max_iter": self.max_iter,
-            "jobs": self.jobs,
         }
 
 
@@ -265,48 +262,26 @@ def rotation_number(polygon, centroid=None) -> int:
     return k
 
 
-def _length_on_chart(metric, table, base, frames, s_flat):
-    r, d = base.shape
-    s = s_flat.reshape(r, d - 1)
-    pts = np.empty_like(base)
-    for i in range(r):
-        pts[i] = project_to_boundary(table, base[i] + s[i] @ frames[i]).position.components
-    return _cycle_length(metric, pts)
-
-
 def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
                 eig_tol: float | None = None) -> tuple[int, int]:
     """(index, degeneracy) of the chart Hessian of the cyclic length.
 
-    Central second differences on boundary charts anchored at the polygon;
-    eigenvalues below -eig_tol count toward the index, eigenvalues within
+    The chart Hessian is the symmetrised Newton Jacobian: central differences
+    of the projected gradient on boundary charts anchored at the polygon.
+    Eigenvalues below -eig_tol count toward the index, eigenvalues within
     eig_tol of zero are reported as degeneracy.  Valid at critical points,
     where the chart curvature terms drop out.
     """
     pts = _points_array(table, polygon)
-    r, d = pts.shape
     scale = table.scale
-    h = _HESS_H_REL * scale
     tol = eig_tol if eig_tol is not None else _EIG_TOL_REL * scale
-    frames = [orthonormal_complement(table.grad(pts[i])) for i in range(r)]
-    n = r * (d - 1)
-
-    def lam(s):
-        return _length_on_chart(metric, table, pts, frames, s)
-
-    f0 = lam(np.zeros(n))
-    H = np.empty((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        H[i, i] = (lam(ei) - 2.0 * f0 + lam(-ei)) / h**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            H[i, j] = H[j, i] = (
-                lam(ei + ej) - lam(ei - ej) - lam(-ei + ej) + lam(-ei - ej)
-            ) / (4.0 * h**2)
-    eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
+    if not _check_distinct(pts, scale):
+        raise CoincidentPoints("consecutive vertices coincide within tolerance")
+    frames = [orthonormal_complement(table.grad(p)) for p in pts]
+    J = _jacobian(metric, table, pts, frames, _JAC_H_REL * scale, scale)
+    if J is None:
+        raise InvalidParameters("the chart Hessian is undefined at this polygon")
+    eigs = np.linalg.eigvalsh(0.5 * (J + J.T))
     index = int(np.sum(eigs < -tol))
     degeneracy = int(np.sum(np.abs(eigs) <= tol))
     return index, degeneracy
@@ -323,6 +298,36 @@ def _safe_grad(metric, table, pts, scale):
         return _grad_flat(metric, table, pts)
     except FinslerBilliardsError:
         return None
+
+
+def _jacobian(metric, table, pts, frames, h, scale):
+    """Central-difference Jacobian of the projected gradient; None if it fails.
+
+    Column (i, k) moves vertex i by +-h along frames[i][k], projected back
+    onto the boundary.
+    """
+    r, d = pts.shape
+    n = r * (d - 1)
+    J = np.empty((n, n))
+    col = 0
+    for i in range(r):
+        for k in range(d - 1):
+            try:
+                plus = pts.copy()
+                plus[i] = project_to_boundary(
+                    table, pts[i] + h * frames[i][k]).position.components
+                minus = pts.copy()
+                minus[i] = project_to_boundary(
+                    table, pts[i] - h * frames[i][k]).position.components
+            except FinslerBilliardsError:
+                return None
+            gp = _safe_grad(metric, table, plus, scale)
+            gm = _safe_grad(metric, table, minus, scale)
+            if gp is None or gm is None:
+                return None
+            J[:, col] = (gp - gm) / (2.0 * h)
+            col += 1
+    return J
 
 
 def _retract(table, pts, frames, delta):
@@ -346,39 +351,14 @@ def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
     if g is None:
         return None
     gn = float(np.linalg.norm(g))
-    r, d = pts.shape
-    n = r * (d - 1)
     h = _JAC_H_REL * scale
 
     for _ in range(max_iter):
         if gn <= 1e-14 * scale:
             break
-        frames = [orthonormal_complement(table.grad(pts[i])) for i in range(r)]
-        J = np.empty((n, n))
-        col = 0
-        failed = False
-        for i in range(r):
-            for k in range(d - 1):
-                try:
-                    plus = pts.copy()
-                    plus[i] = project_to_boundary(
-                        table, pts[i] + h * frames[i][k]).position.components
-                    minus = pts.copy()
-                    minus[i] = project_to_boundary(
-                        table, pts[i] - h * frames[i][k]).position.components
-                except FinslerBilliardsError:
-                    failed = True
-                    break
-                gp = _safe_grad(metric, table, plus, scale)
-                gm = _safe_grad(metric, table, minus, scale)
-                if gp is None or gm is None:
-                    failed = True
-                    break
-                J[:, col] = (gp - gm) / (2.0 * h)
-                col += 1
-            if failed:
-                break
-        if failed:
+        frames = [orthonormal_complement(table.grad(p)) for p in pts]
+        J = _jacobian(metric, table, pts, frames, h, scale)
+        if J is None:
             break
         delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
         dn = float(np.linalg.norm(delta))
@@ -467,7 +447,7 @@ def find_critical(metric: FinslerMetric, table: ConvexTable, r: int,
     params = cfg.resolved(table, r)
     scale = table.scale
     if isinstance(metric, MagneticMetric):
-        validate_field_strength(metric, table, rng=np.random.default_rng(params["rng_seed"]))
+        validate_field_strength(metric, table)
     rng = np.random.default_rng(params["rng_seed"])
 
     seeds = []
@@ -484,17 +464,9 @@ def find_critical(metric: FinslerMetric, table: ConvexTable, r: int,
             continue
         seeds.append(cand)
 
-    def task(seed_pts):
-        return _refine(metric, table, seed_pts, params["grad_tol"], scale, params["max_iter"])
-
-    if params["jobs"] > 1:
-        with ThreadPoolExecutor(max_workers=params["jobs"]) as pool:
-            results = list(pool.map(task, seeds))
-    else:
-        results = [task(s) for s in seeds]
-
     polygons = []
-    for res in results:
+    for seed_pts in seeds:
+        res = _refine(metric, table, seed_pts, params["grad_tol"], scale, params["max_iter"])
         if res is None:
             continue
         pts, gn = res

@@ -63,7 +63,7 @@ def test_verify_rejects_composite_period(capsys):
 
 
 def test_search_skips_bound_in_dimension_two(tmp_path, capsys):
-    code = cli.main(["search", "--config", write_config(tmp_path, DISK_SEARCH), "--jobs", "1"])
+    code = cli.main(["search", "--config", write_config(tmp_path, DISK_SEARCH)])
     out = capsys.readouterr().out
     assert code == 0
     report = json.loads(out)
@@ -75,7 +75,7 @@ def test_search_skips_bound_in_dimension_two(tmp_path, capsys):
 def test_search_flags_continuum_and_skips_bound(tmp_path, capsys):
     # the round sphere carries rotational continua of triangles, so the
     # bound check must be skipped as non-generic
-    code = cli.main(["search", "--config", write_config(tmp_path, SPHERE_SEARCH), "--jobs", "1"])
+    code = cli.main(["search", "--config", write_config(tmp_path, SPHERE_SEARCH)])
     out = capsys.readouterr().out
     assert code == 0
     report = json.loads(out)
@@ -85,16 +85,23 @@ def test_search_flags_continuum_and_skips_bound(tmp_path, capsys):
 
 def test_search_reports_are_byte_identical(tmp_path, capsys):
     path = write_config(tmp_path, DISK_SEARCH)
-    cli.main(["search", "--config", path, "--jobs", "1"])
+    cli.main(["search", "--config", path])
     first = capsys.readouterr().out
-    cli.main(["search", "--config", path, "--jobs", "1"])
+    cli.main(["search", "--config", path])
     second = capsys.readouterr().out
     assert first == second
 
 
+def test_search_rejects_unknown_search_parameter(tmp_path, capsys):
+    config = dict(DISK_SEARCH, search={"jobs": 2})
+    code = cli.main(["search", "--config", write_config(tmp_path, config)])
+    assert code == 1
+    assert "unknown search parameters" in capsys.readouterr().err
+
+
 def test_search_seed_override_changes_config(tmp_path, capsys):
     path = write_config(tmp_path, DISK_SEARCH)
-    cli.main(["search", "--config", path, "--seed", "9", "--jobs", "1"])
+    cli.main(["search", "--config", path, "--seed", "9"])
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["search"]["rng_seed"] == 9
 
@@ -212,7 +219,7 @@ def test_search_exits_two_when_bound_missed(tmp_path, capsys):
         "bound": "generic",
         "search": {"seeds": 2, "rng_seed": 1},
     }
-    code = cli.main(["search", "--config", write_config(tmp_path, starved), "--jobs", "1"])
+    code = cli.main(["search", "--config", write_config(tmp_path, starved)])
     report = json.loads(capsys.readouterr().out)
     assert report["bound_check"] == "fail"
     assert report["classes"] < report["bound"]

@@ -266,11 +266,11 @@ def test_field_too_strong_rejected():
 
 
 def test_validate_field_strength(unit_circle):
-    bound = validate_field_strength(MagneticMetric(0.3), unit_circle, n_samples=2000)
-    assert 0.0 < bound < 0.3
+    bound = validate_field_strength(MagneticMetric(0.3), unit_circle)
+    assert bound == 0.5 * 0.3 * unit_circle.bounding_radius
     big = fb.ellipsoid_table([8.0, 8.0])
     with pytest.raises(FieldTooStrong):
-        validate_field_strength(MagneticMetric(0.3), big, n_samples=2000)
+        validate_field_strength(MagneticMetric(0.3), big)
 
 
 # ---------------------------------------------------------------------------

@@ -169,17 +169,28 @@ def test_rotation_numbers():
 
 
 def test_morse_index_disk_triangle_is_degenerate(unit_circle):
-    index, degeneracy = morse_index(EuclideanMetric(), unit_circle,
-                                    circle_polygon([90, 210, 330]))
-    assert degeneracy >= 1  # rotational continuum direction
-    assert index + degeneracy <= 3
+    # two descending directions and the rotational continuum direction
+    assert morse_index(EuclideanMetric(), unit_circle,
+                       circle_polygon([90, 210, 330])) == (2, 1)
 
 
-def test_morse_index_two_bounce_orbit():
-    table = fb.ellipsoid_table([2.0, 1.0])
-    pts = np.array([[0.0, 1.0], [0.0, -1.0]])
-    index, degeneracy = morse_index(EuclideanMetric(), table, pts)
-    assert index + degeneracy <= 2
+@pytest.mark.parametrize("semi_axes, axis, expected", [
+    ([2.0, 1.0], 1, (1, 0)),        # minor axis: the shortest diameter
+    ([2.0, 1.0], 0, (2, 0)),        # major axis: the longest diameter
+    ([1.0, 1.3, 1.7], 0, (2, 0)),
+    ([1.0, 1.3, 1.7], 1, (3, 0)),
+    ([1.0, 1.3, 1.7], 2, (4, 0)),
+], ids=["ellipse-minor", "ellipse-major", "ellipsoid-0", "ellipsoid-1", "ellipsoid-2"])
+def test_morse_index_two_bounce_orbit(semi_axes, axis, expected):
+    table = fb.ellipsoid_table(semi_axes)
+    pts = np.zeros((2, len(semi_axes)))
+    pts[0, axis], pts[1, axis] = semi_axes[axis], -semi_axes[axis]
+    assert morse_index(EuclideanMetric(), table, pts) == expected
+
+
+def test_morse_index_rejects_coincident_vertices(unit_circle):
+    with pytest.raises(InvalidParameters):
+        morse_index(EuclideanMetric(), unit_circle, circle_polygon([0, 0, 180]))
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +234,6 @@ def test_search_is_deterministic(unit_circle):
     cfg = SearchConfig(seeds=20, rng_seed=7)
     a = find_critical(EuclideanMetric(), unit_circle, 3, cfg)
     b = find_critical(EuclideanMetric(), unit_circle, 3, cfg)
-    ja = json.dumps([orbit_record_dict(r) for r in a], sort_keys=True)
-    jb = json.dumps([orbit_record_dict(r) for r in b], sort_keys=True)
-    assert ja == jb
-
-
-def test_search_deterministic_across_worker_counts(unit_circle):
-    a = find_critical(EuclideanMetric(), unit_circle, 3,
-                      SearchConfig(seeds=12, rng_seed=3, jobs=1))
-    b = find_critical(EuclideanMetric(), unit_circle, 3,
-                      SearchConfig(seeds=12, rng_seed=3, jobs=4))
     ja = json.dumps([orbit_record_dict(r) for r in a], sort_keys=True)
     jb = json.dumps([orbit_record_dict(r) for r in b], sort_keys=True)
     assert ja == jb
