@@ -139,29 +139,6 @@ def run_search(config: dict) -> tuple[dict, int]:
     return report, code
 
 
-def run_verify(d: int, r: int) -> tuple[dict, int]:
-    """Betti profile, bounds, and internal consistency checks for (d, r)."""
-    profile = betti_numbers(d, r)
-    checks = {
-        "total_equals_generic_bound": profile.total == profile.bound_generic,
-        "alternating_sum_zero": profile.alternating_sum == 0,
-        "cat_equals_general_bound": profile.cat_lower == profile.bound_general,
-        "ends_are_one": profile.betti[0] == 1 and profile.betti[-1] == 1,
-    }
-    payload = {
-        "d": d,
-        "r": r,
-        "betti": list(profile.betti),
-        "total": profile.total,
-        "alternating_sum": profile.alternating_sum,
-        "cat_lower": profile.cat_lower,
-        "bound_general": profile.bound_general,
-        "bound_generic": profile.bound_generic,
-        "checks": checks,
-    }
-    return payload, 0 if all(checks.values()) else 2
-
-
 def run_betti(d: int, r: int) -> tuple[dict, int]:
     profile = betti_numbers(d, r)
     payload = {
@@ -175,6 +152,19 @@ def run_betti(d: int, r: int) -> tuple[dict, int]:
         "bound_generic": profile.bound_generic,
     }
     return payload, 0
+
+
+def run_verify(d: int, r: int) -> tuple[dict, int]:
+    """Betti profile, bounds, and internal consistency checks for (d, r)."""
+    payload, _ = run_betti(d, r)
+    checks = {
+        "total_equals_generic_bound": payload["total"] == payload["bound_generic"],
+        "alternating_sum_zero": payload["alternating_sum"] == 0,
+        "cat_equals_general_bound": payload["cat_lower"] == payload["bound_general"],
+        "ends_are_one": payload["betti"][0] == 1 and payload["betti"][-1] == 1,
+    }
+    payload["checks"] = checks
+    return payload, 0 if all(checks.values()) else 2
 
 
 def betti_table(profile_payload: dict) -> str:

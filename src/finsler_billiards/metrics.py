@@ -7,11 +7,13 @@ unique covector that annihilates the indicatrix tangent plane at ``u`` and
 pairs to 1 with ``u``.  The dual norm of a covector is its supremum over the
 indicatrix, and the dual transform returns the maximizer.
 
-Built-ins: Euclidean, constant Riemannian, constant-drift Minkowski, and a
-planar constant magnetic field.  The two drift metrics have ellipsoidal
-indicatrices, so their duals are evaluated in closed form; user-defined
-Lagrangians fall back to finite-difference fiber derivatives and a projected
-Newton maximization over a sphere chart.
+Built-ins: constant Riemannian and the Randers family ``|v| + a(x).v`` with
+``|a(x)| < 1``: Euclidean (``a = 0``), constant-drift Minkowski and a planar
+constant magnetic field.  Randers indicatrices are ellipsoids with a focus at
+the origin, so their duals are evaluated in closed form, and the drift norm is
+checked once, where ``a(x)`` is made.  User-defined Lagrangians fall back to
+finite-difference fiber derivatives and a projected Newton maximization over a
+sphere chart.
 """
 
 from __future__ import annotations
@@ -66,12 +68,10 @@ def magnetic_indicatrix_params(t: float) -> tuple[float, float, float]:
 
 
 def _randers_dual_norm(alpha: np.ndarray, q: np.ndarray) -> float:
-    """sup of q over the indicatrix of ``|v| + alpha.v`` (closed form)."""
+    """sup of q over the indicatrix of ``|v| + alpha.v`` (closed form, |alpha| < 1)."""
     t = float(np.linalg.norm(alpha))
     if t == 0.0:
         return float(np.linalg.norm(q))
-    if t >= 1.0:
-        raise FieldTooStrong("drift covector has norm >= 1")
     one = 1.0 - t * t
     ahat = alpha / t
     qpar = float(q @ ahat)
@@ -80,15 +80,13 @@ def _randers_dual_norm(alpha: np.ndarray, q: np.ndarray) -> float:
 
 
 def _randers_dual_argmax(alpha: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Indicatrix point maximizing q for the metric ``|v| + alpha.v``."""
+    """Indicatrix point maximizing q for the metric ``|v| + alpha.v`` (|alpha| < 1)."""
     t = float(np.linalg.norm(alpha))
     qn = float(np.linalg.norm(q))
     if qn == 0.0:
         raise InvalidParameters("cannot maximize the zero covector")
     if t == 0.0:
         return q / qn
-    if t >= 1.0:
-        raise FieldTooStrong("drift covector has norm >= 1")
     one = 1.0 - t * t
     ahat = alpha / t
     a2 = 1.0 / one**2
@@ -314,34 +312,35 @@ class FinslerMetric:
         return {"kind": self.kind}
 
 
-class EuclideanMetric(FinslerMetric):
-    """The standard norm; every Finsler formula reduces to Euclidean geometry."""
+class _RandersMetric(FinslerMetric):
+    """Randers norm L(x, v) = |v| + alpha(x).v with |alpha(x)| < 1.
 
-    flat_geodesics = True
-    reversible = True
-    kind = "euclidean"
+    Subclasses supply the drift covector ``alpha_at(x)`` and guarantee its
+    norm is below 1, so the kernels below never re-check it.  The indicatrix
+    is an ellipsoid of revolution about the drift axis with a focus at the
+    origin, which gives closed-form duals.
+    """
+
     dual_accuracy = 1e-14
 
-    def __init__(self, dim: int | None = None):
-        self.dim = dim
+    def alpha_at(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     def _L(self, x, v):
-        return float(np.linalg.norm(v))
+        return float(np.linalg.norm(v) + self.alpha_at(x) @ v)
 
     def _DL(self, x, v):
+        a = self.alpha_at(x)  # first, so a too-strong field wins over a zero v
         n = float(np.linalg.norm(v))
         if n == 0.0:
             raise ZeroVector("fiber derivative at the zero vector")
-        return v / n
+        return v / n + a
 
     def _dual_norm(self, x, q):
-        return float(np.linalg.norm(q))
+        return _randers_dual_norm(self.alpha_at(x), q)
 
     def _dual_argmax(self, x, q):
-        n = float(np.linalg.norm(q))
-        if n == 0.0:
-            raise InvalidParameters("cannot maximize the zero covector")
-        return q / n
+        return _randers_dual_argmax(self.alpha_at(x), q)
 
     def _Lvv(self, x, v):
         n = float(np.linalg.norm(v))
@@ -353,6 +352,20 @@ class EuclideanMetric(FinslerMetric):
 
     def _Lvy(self, x, v):
         return np.zeros((x.size, x.size))
+
+
+class EuclideanMetric(_RandersMetric):
+    """The standard norm, zero drift; every Finsler formula reduces to Euclidean geometry."""
+
+    flat_geodesics = True
+    reversible = True
+    kind = "euclidean"
+
+    def __init__(self, dim: int | None = None):
+        self.dim = dim
+
+    def alpha_at(self, x):
+        return np.zeros(x.size)
 
 
 class RiemannianMetric(FinslerMetric):
@@ -410,18 +423,15 @@ class RiemannianMetric(FinslerMetric):
         return {"kind": "riemannian", "tensor": self.G.tolist()}
 
 
-class MinkowskiMetric(FinslerMetric):
+class MinkowskiMetric(_RandersMetric):
     """Constant-drift norm L(v) = |v| + alpha.v with |alpha| < 1.
 
     Translation invariant, so geodesics are straight chords; the metric is
-    irreversible whenever alpha is nonzero.  The indicatrix is an ellipsoid
-    of revolution about the drift axis with a focus at the origin, which
-    gives closed-form duals.
+    irreversible whenever alpha is nonzero.
     """
 
     flat_geodesics = True
     kind = "minkowski"
-    dual_accuracy = 1e-14
 
     def __init__(self, alpha):
         a = as_components(alpha)
@@ -432,49 +442,26 @@ class MinkowskiMetric(FinslerMetric):
         self.dim = a.size
         self.reversible = t == 0.0
 
-    def _L(self, x, v):
-        return float(np.linalg.norm(v) + self.alpha @ v)
-
-    def _DL(self, x, v):
-        n = float(np.linalg.norm(v))
-        if n == 0.0:
-            raise ZeroVector("fiber derivative at the zero vector")
-        return v / n + self.alpha
-
-    def _dual_norm(self, x, q):
-        return _randers_dual_norm(self.alpha, q)
-
-    def _dual_argmax(self, x, q):
-        return _randers_dual_argmax(self.alpha, q)
-
-    def _Lvv(self, x, v):
-        n = float(np.linalg.norm(v))
-        vh = v / n
-        return (np.eye(v.size) - np.outer(vh, vh)) / n
-
-    def _Ly(self, x, v):
-        return np.zeros(x.size)
-
-    def _Lvy(self, x, v):
-        return np.zeros((x.size, x.size))
+    def alpha_at(self, x):
+        return self.alpha
 
     def spec(self):
         return {"kind": "minkowski", "alpha": self.alpha.tolist()}
 
 
-class MagneticMetric(FinslerMetric):
+class MagneticMetric(_RandersMetric):
     """Planar constant magnetic field B as a Finsler metric.
 
     L(x, v) = |v| + alpha(x).v with the rotationally symmetric primitive
     alpha = (B/2)(x dy - y dx), whose exterior derivative is B dx^dy.  Unit
     speed solutions of the Euler-Lagrange equations are circles of radius
-    1/|B| traversed clockwise for B > 0.
+    1/|B| traversed clockwise for B > 0.  The drift norm |B| |x| / 2 is
+    checked wherever alpha(x) is evaluated.
     """
 
     flat_geodesics = False
     kind = "magnetic"
     dim = 2
-    dual_accuracy = 1e-14
 
     def __init__(self, B: float):
         B = float(B)
@@ -490,36 +477,10 @@ class MagneticMetric(FinslerMetric):
         return 1.0 / abs(self.B)
 
     def alpha_at(self, x: np.ndarray) -> np.ndarray:
-        return 0.5 * self.B * np.array([-x[1], x[0]])
-
-    def _check_field(self, x):
         t = 0.5 * abs(self.B) * float(np.linalg.norm(x))
         if t >= 1.0:
             raise FieldTooStrong(f"|alpha(x)| = {t} >= 1 at |x| = {np.linalg.norm(x)}")
-
-    def _L(self, x, v):
-        self._check_field(x)
-        return float(np.linalg.norm(v) + self.alpha_at(x) @ v)
-
-    def _DL(self, x, v):
-        self._check_field(x)
-        n = float(np.linalg.norm(v))
-        if n == 0.0:
-            raise ZeroVector("fiber derivative at the zero vector")
-        return v / n + self.alpha_at(x)
-
-    def _dual_norm(self, x, q):
-        self._check_field(x)
-        return _randers_dual_norm(self.alpha_at(x), q)
-
-    def _dual_argmax(self, x, q):
-        self._check_field(x)
-        return _randers_dual_argmax(self.alpha_at(x), q)
-
-    def _Lvv(self, x, v):
-        n = float(np.linalg.norm(v))
-        vh = v / n
-        return (np.eye(2) - np.outer(vh, vh)) / n
+        return 0.5 * self.B * np.array([-x[1], x[0]])
 
     def _Ly(self, x, v):
         return self._jac.T @ v

@@ -104,6 +104,15 @@ class SearchConfig:
     cluster_tol: float | None = None   # default 1e-5 * scale
     max_iter: int = 60
 
+    def __post_init__(self):
+        for name in ("seeds", "max_iter"):
+            if getattr(self, name) < 1:
+                raise InvalidParameters(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("grad_tol", "epsilon", "cluster_tol"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise InvalidParameters(f"{name} must be finite and > 0, got {value}")
+
     def resolved(self, table: ConvexTable, r: int) -> dict:
         s = table.scale
         return {
@@ -443,6 +452,9 @@ def find_critical(metric: FinslerMetric, table: ConvexTable, r: int,
     """
     if r < 2:
         raise InvalidParameters("period r must be >= 2")
+    if metric.dim is not None and metric.dim != table.dim:
+        raise InvalidParameters(
+            f"metric dimension {metric.dim} does not match table dimension {table.dim}")
     cfg = config or SearchConfig()
     params = cfg.resolved(table, r)
     scale = table.scale

@@ -99,6 +99,13 @@ def test_search_rejects_unknown_search_parameter(tmp_path, capsys):
     assert "unknown search parameters" in capsys.readouterr().err
 
 
+def test_search_rejects_zero_cluster_tol(tmp_path, capsys):
+    config = dict(DISK_SEARCH, search={"cluster_tol": 0})
+    code = cli.main(["search", "--config", write_config(tmp_path, config)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_search_seed_override_changes_config(tmp_path, capsys):
     path = write_config(tmp_path, DISK_SEARCH)
     cli.main(["search", "--config", path, "--seed", "9"])

@@ -265,6 +265,17 @@ def test_field_too_strong_rejected():
         MagneticMetric(0.0)
 
 
+def test_weak_field_guard_at_strong_field_point():
+    # |B| |x| / 2 = 1.125 at x: every kernel that makes alpha(x) must refuse
+    m = MagneticMetric(0.5)
+    x, v = np.array([4.5, 0.0]), np.array([0.0, 1.0])
+    for call in (m.lagrangian, m.fiber_derivative, m.dual_norm, m.legendre_dual):
+        with pytest.raises(FieldTooStrong):
+            call(x, v)
+    with pytest.raises(FieldTooStrong):
+        fb.integrate_geodesic(m, x, v, 0.1, 0.01)
+
+
 def test_validate_field_strength(unit_circle):
     bound = validate_field_strength(MagneticMetric(0.3), unit_circle)
     assert bound == 0.5 * 0.3 * unit_circle.bounding_radius
@@ -277,15 +288,24 @@ def test_validate_field_strength(unit_circle):
 # generic dual path for user-defined Lagrangians
 
 
-def test_generic_dual_path_matches_closed_form(rng):
-    closed = MinkowskiMetric([0.3, 0.1])
-    generic = LagrangianMetric(randers_lagrangian([0.3, 0.1]), dim=2,
+@pytest.mark.parametrize("case", [
+    (EuclideanMetric(dim=2), ORIGIN2),
+    (MinkowskiMetric([0.3, 0.1]), ORIGIN2),
+    (MagneticMetric(0.2), np.array([0.4, -0.3])),
+], ids=lambda c: c[0].kind)
+def test_generic_dual_path_matches_closed_form(case, rng):
+    # the Randers family |v| + a(x).v against the generic path at a frozen a(x)
+    closed, x = case
+    generic = LagrangianMetric(randers_lagrangian(closed.alpha_at(x)), dim=2,
                                flat_geodesics=True)
     for _ in range(5):
+        v = rng.standard_normal(2)
+        assert abs(generic._L(x, v) - closed._L(x, v)) <= 1e-8
+        assert np.max(np.abs(generic._DL(x, v) - closed._DL(x, v))) <= 1e-6
         q = rng.standard_normal(2)
-        assert abs(generic.dual_norm(ORIGIN2, q) - closed.dual_norm(ORIGIN2, q)) <= 1e-8
-        v_g = generic._dual_argmax(ORIGIN2, q)
-        v_c = closed._dual_argmax(ORIGIN2, q)
+        assert abs(generic.dual_norm(x, q) - closed.dual_norm(x, q)) <= 1e-8
+        v_g = generic._dual_argmax(x, q)
+        v_c = closed._dual_argmax(x, q)
         assert np.max(np.abs(v_g - v_c)) <= 1e-6
 
 

@@ -267,6 +267,24 @@ def test_period_validation(unit_circle):
         find_critical(EuclideanMetric(), unit_circle, 1, SearchConfig(seeds=1))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seeds", 0), ("seeds", -3), ("max_iter", 0), ("grad_tol", -1.0),
+    ("cluster_tol", 0.0), ("epsilon", 0.0), ("metric_dim", 3),
+])
+def test_bad_search_parameters_rejected_where_they_enter(field, value, ellipse, monkeypatch):
+    def no_seeding(*args):
+        raise AssertionError("a seed was drawn before the parameters were checked")
+
+    monkeypatch.setattr(fb.search, "_random_seed", no_seeding)
+    monkeypatch.setattr(fb.search, "_trace_seed", no_seeding)
+    with pytest.raises(InvalidParameters):
+        if field == "metric_dim":
+            metric = MinkowskiMetric(np.eye(value)[0] * 0.1)
+            find_critical(metric, ellipse, 3, SearchConfig(seeds=1))
+        else:
+            SearchConfig(**{field: value})
+
+
 def test_make_polygon_rejects_collapsed_edge(unit_circle):
     pts = np.array([[1.0, 0.0], [1.0, 1e-12], [0.0, 1.0]])
     with pytest.raises(InvalidParameters):
