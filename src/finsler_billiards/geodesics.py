@@ -212,8 +212,10 @@ class _FlightPath:
     def __init__(self, metric: FinslerMetric, start: np.ndarray, direction: np.ndarray):
         self.metric = metric
         self.start = start
-        d = direction / np.linalg.norm(direction)
-        self.direction = d
+        norm = float(np.linalg.norm(direction))
+        if not norm > 0.0:
+            raise InvalidParameters("flight direction must be nonzero")
+        self.direction = d = direction / norm
         if isinstance(metric, MagneticMetric):
             self.center, self.radius, self.omega = _larmor_circle(metric, start, d)
             self.theta0 = float(np.arctan2(start[1] - self.center[1],
@@ -247,7 +249,7 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
     step = scale / 64.0
     horizon = _HORIZON_RADII * scale
 
-    f_prev = table.phi(path.point(s_min))
+    f_prev = table._phi(path.point(s_min))
     if f_prev >= 0.0:
         raise GrazingDeparture("flight starts on or outside the boundary")
     s_prev = s_min
@@ -256,7 +258,7 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
     while s < horizon:
         # half-step probe guards against an arc exiting and re-entering
         for s_next in (s + 0.5 * step, s + step):
-            f_next = table.phi(path.point(s_next))
+            f_next = table._phi(path.point(s_next))
             if f_next >= 0.0:
                 bracket = (s_prev, s_next)
                 break
@@ -272,7 +274,7 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
         if hi - lo <= 1e-14 * scale:
             break
         mid = 0.5 * (lo + hi)
-        if table.phi(path.point(mid)) < 0.0:
+        if table._phi(path.point(mid)) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -280,10 +282,10 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
     # Newton polish on phi along the path
     for _ in range(8):
         p = path.point(s_hit)
-        f = table.phi(p)
+        f = table._phi(p)
         if abs(f) <= _EXIT_TOL_REL * scale:
             break
-        slope = float(table.grad(p) @ path.tangent(s_hit))
+        slope = float(table._grad(p) @ path.tangent(s_hit))
         if slope == 0.0:
             break
         s_new = s_hit - f / slope
@@ -291,7 +293,7 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
             break
         s_hit = s_new
     p = path.point(s_hit)
-    if abs(table.phi(p)) > 1e-10 * scale:
+    if abs(table._phi(p)) > 1e-10 * scale:
         raise NoConvergence("boundary crossing did not polish to tolerance")
     return p, path.tangent(s_hit)
 

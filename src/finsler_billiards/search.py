@@ -125,48 +125,41 @@ class SearchConfig:
         }
 
 
-def _points_array(table: ConvexTable, points) -> np.ndarray:
+def _points_array(points, dim: int | None = None) -> np.ndarray:
+    """Checked (r, d) vertex coordinates of a polygon argument."""
     if isinstance(points, CyclicPolygon):
         return points.positions()
     if isinstance(points, (list, tuple)) and points and isinstance(points[0], BoundaryPoint):
         return np.array([p.position.components for p in points])
     a = np.asarray(points, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 2 or a.shape[1] != table.dim:
+    if a.ndim != 2 or a.shape[0] < 2 or (dim is not None and a.shape[1] != dim):
         raise InvalidParameters("expected an (r, d) array of vertex coordinates")
+    if not np.all(np.isfinite(a)):
+        raise InvalidParameters("coordinates must be finite")
     return a
 
 
 def _check_distinct(pts: np.ndarray, scale: float) -> bool:
     r = pts.shape[0]
-    for i in range(r):
-        if np.linalg.norm(pts[(i + 1) % r] - pts[i]) <= _DISTINCT_REL * scale:
-            return False
-    return True
+    return not any(np.linalg.norm(pts[(i + 1) % r] - pts[i]) <= _DISTINCT_REL * scale
+                   for i in range(r))
 
 
 def make_polygon(metric: FinslerMetric, table: ConvexTable, points) -> CyclicPolygon:
     """Assemble a cyclic polygon from boundary vertices, validating them."""
-    pts = _points_array(table, points)
+    pts = _points_array(points, table.dim)
     r = pts.shape[0]
     if not _check_distinct(pts, table.scale):
         raise InvalidParameters("consecutive vertices coincide within tolerance")
     verts = tuple(table.boundary_point(p) for p in pts)
     segs = tuple(connect(metric, pts[i], pts[(i + 1) % r]) for i in range(r))
     lengths = [s.length for s in segs]
-    prod = 1.0
-    for ell in lengths:
-        prod *= ell
     return CyclicPolygon(
         vertices=verts, segments=segs, r=r,
         lambda_value=math.fsum(lengths),
         min_edge=float(min(lengths)),
-        edge_product=float(prod),
+        edge_product=float(math.prod(lengths)),
     )
-
-
-def _cycle_length(metric: FinslerMetric, pts: np.ndarray) -> float:
-    r = pts.shape[0]
-    return math.fsum(connect(metric, pts[i], pts[(i + 1) % r]).length for i in range(r))
 
 
 def length_function(metric: FinslerMetric, polygon) -> float:
@@ -175,8 +168,9 @@ def length_function(metric: FinslerMetric, polygon) -> float:
     Summation uses exact accumulation, so cyclic relabelings give the same
     float value.
     """
-    pts = polygon.positions() if isinstance(polygon, CyclicPolygon) else np.asarray(polygon, float)
-    return _cycle_length(metric, pts)
+    pts = _points_array(polygon, metric.dim)
+    r = pts.shape[0]
+    return math.fsum(connect(metric, pts[i], pts[(i + 1) % r]).length for i in range(r))
 
 
 def _grad_flat(metric: FinslerMetric, table: ConvexTable, pts: np.ndarray) -> np.ndarray:
@@ -188,7 +182,7 @@ def _grad_flat(metric: FinslerMetric, table: ConvexTable, pts: np.ndarray) -> np
         u = segs[i - 1].end_tangent
         v = segs[i].start_tangent
         cov = metric._DL(pts[i], u) - metric._DL(pts[i], v)
-        frame = orthonormal_complement(table.grad(pts[i]))
+        frame = orthonormal_complement(table._grad(pts[i]))
         out[i] = frame @ cov
     return out.ravel()
 
@@ -199,7 +193,7 @@ def grad_length(metric: FinslerMetric, table: ConvexTable, polygon) -> np.ndarra
     Row i holds the pairing of the arriving-minus-departing Legendre
     covector at vertex i with the deterministic tangent basis there.
     """
-    pts = _points_array(table, polygon)
+    pts = _points_array(polygon, table.dim)
     return _grad_flat(metric, table, pts).reshape(pts.shape[0], pts.shape[1] - 1)
 
 
@@ -210,12 +204,38 @@ def in_g_epsilon(polygon: CyclicPolygon, epsilon: float) -> bool:
     return polygon.edge_product >= epsilon
 
 
-def _zr_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max vertex deviation minimized over cyclic relabelings of b."""
-    best = np.inf
-    for s in range(b.shape[0]):
-        best = min(best, float(np.max(np.abs(a - np.roll(b, -s, axis=0)))))
-    return best
+def _zr_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Max vertex deviation minimized over cyclic relabelings of b.
+
+    ``a`` is an (r, d) polygon (float result) or a (K, r, d) stack (K results).
+    """
+    devs = [np.max(np.abs(a - np.roll(b, -s, axis=0)), axis=(-2, -1))
+            for s in range(b.shape[0])]
+    best = np.min(devs, axis=0)
+    return float(best) if a.ndim == 2 else best
+
+
+def _group(items, tol):
+    """First-match grouping of [pts, residual, polygon, count] items.
+
+    Items, in order, join the first group whose representative is within tol
+    modulo cyclic relabeling, or start one; counts add and a strictly lower
+    residual replaces the representative.  Returns groups and absorbed flags.
+    """
+    groups, absorbed = [], []
+    for pts, gn, poly, count in items:
+        near = (np.flatnonzero(_zr_distance(np.array([g[0] for g in groups]), pts) <= tol)
+                if groups else [])
+        if len(near) == 0:
+            groups.append([pts, gn, poly, count])
+            absorbed.append(False)
+            continue
+        g = groups[near[0]]
+        absorbed[near[0]] = True
+        g[3] += count
+        if gn < g[1]:
+            g[0], g[1], g[2] = pts, gn, poly
+    return groups, absorbed
 
 
 def canonicalize(polygon, cluster_tol: float) -> tuple:
@@ -225,25 +245,16 @@ def canonicalize(polygon, cluster_tol: float) -> tuple:
     rotations that differ beyond tolerance are retried with finer rounding
     and reported if unresolved.
     """
-    pts = polygon.positions() if isinstance(polygon, CyclicPolygon) else np.asarray(polygon, float)
+    pts = _points_array(polygon)
     r = pts.shape[0]
     tol = float(cluster_tol)
     for _ in range(3):
-        keys = []
-        for s in range(r):
-            rot = np.roll(pts, -s, axis=0)
-            keys.append((tuple(int(k) for k in np.round(rot / tol).ravel()), s))
-        keys.sort(key=lambda ks: ks[0])
+        rots = [np.roll(pts, -s, axis=0) for s in range(r)]
+        keys = sorted((tuple(int(k) for k in np.round(rot / tol).ravel()), s)
+                      for s, rot in enumerate(rots))
         best_key, best_s = keys[0]
-        ambiguous = False
-        for key, s in keys[1:]:
-            if key != best_key:
-                break
-            gap = float(np.max(np.abs(np.roll(pts, -best_s, axis=0) - np.roll(pts, -s, axis=0))))
-            if gap > tol:
-                ambiguous = True
-                break
-        if not ambiguous:
+        if all(np.max(np.abs(rots[best_s] - rots[s])) <= tol
+               for key, s in keys[1:] if key == best_key):
             return best_key
         tol /= 10.0
     raise AmbiguousCanonicalization("cyclic rotations tie under rounding but differ beyond it")
@@ -255,7 +266,7 @@ def rotation_number(polygon, centroid=None) -> int:
     Computed from the signed turning of the vertex directions about the
     centroid (the table centroid for built-in tables, else the vertex mean).
     """
-    pts = polygon.positions() if isinstance(polygon, CyclicPolygon) else np.asarray(polygon, float)
+    pts = _points_array(polygon)
     if pts.shape[1] != 2:
         raise InvalidParameters("rotation numbers are defined for planar tables only")
     c = np.mean(pts, axis=0) if centroid is None else as_components(centroid, 2)
@@ -281,12 +292,12 @@ def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
     eig_tol of zero are reported as degeneracy.  Valid at critical points,
     where the chart curvature terms drop out.
     """
-    pts = _points_array(table, polygon)
+    pts = _points_array(polygon, table.dim)
     scale = table.scale
     tol = eig_tol if eig_tol is not None else _EIG_TOL_REL * scale
     if not _check_distinct(pts, scale):
         raise CoincidentPoints("consecutive vertices coincide within tolerance")
-    frames = [orthonormal_complement(table.grad(p)) for p in pts]
+    frames = [orthonormal_complement(table._grad(p)) for p in pts]
     J = _jacobian(metric, table, pts, frames, _JAC_H_REL * scale, scale)
     if J is None:
         raise InvalidParameters("the chart Hessian is undefined at this polygon")
@@ -365,7 +376,7 @@ def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
     for _ in range(max_iter):
         if gn <= 1e-14 * scale:
             break
-        frames = [orthonormal_complement(table.grad(p)) for p in pts]
+        frames = [orthonormal_complement(table._grad(p)) for p in pts]
         J = _jacobian(metric, table, pts, frames, h, scale)
         if J is None:
             break
@@ -436,10 +447,6 @@ def _trace_seed(metric, table, r, rng, scale):
     return best
 
 
-def _divisors(r: int) -> list[int]:
-    return [k for k in range(1, r) if r % k == 0]
-
-
 def find_critical(metric: FinslerMetric, table: ConvexTable, r: int,
                   config: SearchConfig | None = None) -> list[OrbitRecord]:
     """Multistart search for r-periodic orbits; deterministic given the seed.
@@ -490,47 +497,21 @@ def find_critical(metric: FinslerMetric, table: ConvexTable, r: int,
             continue
         if not in_g_epsilon(poly, params["epsilon"]):
             continue
-        polygons.append((pts, gn, poly))
+        polygons.append((pts, gn, poly, 1))
 
-    # group modulo cyclic relabeling at the cluster tolerance
+    # classes modulo cyclic relabeling, then merged across the continuum radius
     cluster_tol = params["cluster_tol"]
-    reps: list[list] = []  # [pts, best_gn, best_poly, count]
-    for pts, gn, poly in polygons:
-        for rep in reps:
-            if _zr_distance(rep[0], pts) <= cluster_tol:
-                rep[3] += 1
-                if gn < rep[1]:
-                    rep[0], rep[1], rep[2] = pts, gn, poly
-                break
-        else:
-            reps.append([pts, gn, poly, 1])
-
-    # merge classes closer than the continuum radius and flag them
-    merge_tol = _CONTINUUM_REL * scale
-    merged_flags = [False] * len(reps)
-    keep = [True] * len(reps)
-    for i in range(len(reps)):
-        if not keep[i]:
-            continue
-        for j in range(i + 1, len(reps)):
-            if keep[j] and _zr_distance(reps[i][0], reps[j][0]) <= merge_tol:
-                keep[j] = False
-                merged_flags[i] = True
-                reps[i][3] += reps[j][3]
-                if reps[j][1] < reps[i][1]:
-                    reps[i][0], reps[i][1], reps[i][2] = reps[j][0], reps[j][1], reps[j][2]
-
-    survivors = [(rep, merged_flags[i]) for i, (rep, k) in enumerate(zip(reps, keep)) if k]
+    classes, _ = _group(polygons, cluster_tol)
+    survivors, merged = _group(classes, _CONTINUUM_REL * scale)
     records = []
-    for (pts, gn, poly, count), was_merged in survivors:
+    for (pts, gn, poly, count), was_merged in zip(survivors, merged):
         flags = []
         index, degeneracy = morse_index(metric, table, poly)
         if was_merged or degeneracy > 0:
             flags.append("continuum-suspect")
-        for k in _divisors(poly.r):
-            if float(np.max(np.abs(pts - np.roll(pts, -k, axis=0)))) <= cluster_tol:
-                flags.append("multiple-cover")
-                break
+        if any(np.max(np.abs(pts - np.roll(pts, -k, axis=0))) <= cluster_tol
+               for k in range(1, poly.r) if poly.r % k == 0):
+            flags.append("multiple-cover")
         if _zr_distance(pts, pts[::-1]) <= cluster_tol:
             flags.append("reversal-symmetric")
         rot = None

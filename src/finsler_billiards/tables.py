@@ -4,6 +4,9 @@ A table is a smooth scalar field ``phi`` with interior ``{phi < 0}`` and
 boundary ``{phi = 0}``, together with its spatial gradient and a bounding
 radius.  All absolute tolerances in the package are stated relative to
 ``bounding_radius`` (the session scale).
+
+As for ``FinslerMetric``, the underscore ``_phi``/``_grad`` are the raw
+surface the kernels call; the public ``phi``/``grad`` check coordinates first.
 """
 
 from __future__ import annotations
@@ -63,6 +66,9 @@ class ConvexTable:
         Ambient dimension (>= 2).
     spec : dict, optional
         JSON-ready description of the table, kept for serialization.
+
+    ``_phi``/``_grad`` take unchecked float arrays (``_grad`` still checks what
+    ``grad_phi`` returns); ``phi``/``grad`` check coordinates, as in FinslerMetric.
     """
 
     def __init__(self, phi: Callable, grad_phi: Callable, bounding_radius: float,
@@ -71,8 +77,8 @@ class ConvexTable:
             raise InvalidParameters("table dimension must be >= 2")
         if not bounding_radius > 0:
             raise InvalidParameters("bounding_radius must be positive")
-        self._phi = phi
-        self._grad = grad_phi
+        self._phi_fn = phi
+        self._grad_fn = grad_phi
         self.bounding_radius = float(bounding_radius)
         self.dim = int(dim)
         self.spec = dict(spec) if spec else {"kind": "custom"}
@@ -83,14 +89,20 @@ class ConvexTable:
     def scale(self) -> float:
         return self.bounding_radius
 
-    def phi(self, x) -> float:
-        return float(self._phi(as_components(x, self.dim)))
+    def _phi(self, x: np.ndarray) -> float:
+        return float(self._phi_fn(x))
 
-    def grad(self, x) -> np.ndarray:
-        g = np.asarray(self._grad(as_components(x, self.dim)), dtype=float)
+    def _grad(self, x: np.ndarray) -> np.ndarray:
+        g = np.asarray(self._grad_fn(x), dtype=float)
         if g.shape != (self.dim,):
             raise InvalidParameters("grad_phi returned a wrong shape")
         return g
+
+    def phi(self, x) -> float:
+        return self._phi(as_components(x, self.dim))
+
+    def grad(self, x) -> np.ndarray:
+        return self._grad(as_components(x, self.dim))
 
     def contains(self, x) -> bool:
         return self.phi(x) < 0.0
@@ -186,11 +198,11 @@ def project_to_boundary(table: ConvexTable, x) -> BoundaryPoint:
     a = np.array(as_components(x, table.dim))
     target = _PROJECT_TARGET_REL * table.scale
     accept = BOUNDARY_TOL_REL * table.scale
-    f = table.phi(a)
+    f = table._phi(a)
     for _ in range(_PROJECT_MAX_ITER):
         if abs(f) <= target:
             break
-        g = table.grad(a)
+        g = table._grad(a)
         g2 = float(g @ g)
         if g2 == 0.0:
             raise NoConvergence("gradient vanished during projection")
@@ -199,7 +211,7 @@ def project_to_boundary(table: ConvexTable, x) -> BoundaryPoint:
         improved = False
         while t > 1e-6:
             cand = a + t * step
-            fc = table.phi(cand)
+            fc = table._phi(cand)
             if abs(fc) < abs(f):
                 a, f = cand, fc
                 improved = True
@@ -207,9 +219,13 @@ def project_to_boundary(table: ConvexTable, x) -> BoundaryPoint:
             t *= 0.5
         if not improved:
             break  # at the float noise floor
-    if abs(f) > accept:
+    if not abs(f) <= accept:  # also rejects NaN
         raise NoConvergence("projection did not reach boundary tolerance")
-    return table.boundary_point(a)
+    g = table._grad(a)
+    gn = np.linalg.norm(g)
+    if gn == 0.0:
+        raise InvalidParameters("gradient vanishes at a boundary point")
+    return BoundaryPoint(Vector(a), Vector(g / gn))
 
 
 def orthonormal_complement(n: np.ndarray) -> np.ndarray:
@@ -249,8 +265,9 @@ def conormal(table: ConvexTable, y: BoundaryPoint, metric) -> Covector:
     The covector is the gradient of ``phi`` rescaled to unit dual norm in the
     given metric.
     """
-    g = table.grad(y.position.components)
-    dn = metric.dual_norm(y.position.components, g)
+    x = y.position.components
+    g = table._grad(x)
+    dn = metric._dual_norm(x, g)
     if not dn > 0:
         raise InvalidParameters("dual norm of the boundary gradient is not positive")
     return Covector(g / dn)

@@ -173,6 +173,12 @@ def test_trace_requires_positive_steps(unit_circle):
         trace(m, unit_circle, state, 0)
 
 
+def test_billiard_step_rejects_zero_direction(unit_circle):
+    start = unit_circle.boundary_point([1.0, 0.0])
+    with pytest.raises(InvalidParameters):
+        billiard_step(EuclideanMetric(), unit_circle, BoundaryState(start, np.zeros(2)))
+
+
 def test_long_trace_stays_on_boundary(unit_circle, rng):
     m = EuclideanMetric()
     state = random_inward_state(m, unit_circle, rng)

@@ -289,3 +289,52 @@ def test_make_polygon_rejects_collapsed_edge(unit_circle):
     pts = np.array([[1.0, 0.0], [1.0, 1e-12], [0.0, 1.0]])
     with pytest.raises(InvalidParameters):
         make_polygon(EuclideanMetric(), unit_circle, pts)
+
+
+BAD_POLYGONS = {
+    "nan-vertex": np.array([[1.0, 0.0], [np.nan, 0.5], [-0.5, -0.8]]),
+    "1-d": np.array([1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_POLYGONS))
+@pytest.mark.parametrize("call", [
+    lambda m, t, p: morse_index(m, t, p),
+    lambda m, t, p: grad_length(m, t, p),
+    lambda m, t, p: length_function(m, p),
+    lambda m, t, p: canonicalize(p, 1e-5),
+    lambda m, t, p: rotation_number(p),
+], ids=["morse_index", "grad_length", "length_function", "canonicalize", "rotation_number"])
+def test_polygon_arguments_checked_where_they_enter(call, bad, unit_circle):
+    match = "finite" if bad == "nan-vertex" else None
+    with pytest.raises(InvalidParameters, match=match):
+        call(EuclideanMetric(), unit_circle, BAD_POLYGONS[bad])
+
+
+def test_grouping_rule_pins_first_match_and_residual_swaps():
+    """Both grouping passes of find_critical on a hand-built list.
+
+    The expected groups, counts and flags are what the two loops this helper
+    replaced gave on the same list.
+    """
+    A = np.array([[1.0, 0.0], [-0.5, 0.8660254037844386], [-0.5, -0.8660254037844386]])
+    C = np.array([[0.0, 1.0], [0.6, -0.8], [-0.6, -0.8]])
+    e = np.array([[1.0, -1.0], [0.5, 1.0], [-1.0, 0.25]])
+    items = [
+        (A, 3e-10, "A", 1),
+        (np.roll(A + 1e-6 * e, 1, axis=0), 1e-10, "A-lower", 1),  # lower residual: new rep
+        (A + 2e-6 * e, 1e-10, "A-tie", 1),                         # tie: the earlier rep stays
+        (A + 5e-5 * e, 5e-11, "B", 1),           # beyond cluster_tol, inside the continuum radius
+        (np.roll(C, 2, axis=0), 4e-10, "C", 1),  # distant
+        (np.roll(A + 5.1e-5 * e, 2, axis=0), 6e-11, "B-dup", 1),
+    ]
+    classes, _ = fb.search._group(items, 1e-5)
+    assert [(g[2], g[3], g[1]) for g in classes] == [
+        ("A-lower", 3, 1e-10), ("B", 2, 5e-11), ("C", 1, 4e-10)]
+    survivors, merged = fb.search._group(classes, fb.search._CONTINUUM_REL)
+    assert [(g[2], g[3], g[1], m) for g, m in zip(survivors, merged)] == [
+        ("B", 5, 5e-11, True), ("C", 1, 4e-10, False)]
+    assert survivors[0][0] is items[3][0]
+    stack = np.array([item[0] for item in items])
+    assert list(fb.search._zr_distance(stack, items[1][0])) == [
+        fb.search._zr_distance(a, items[1][0]) for a in stack]

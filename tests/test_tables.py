@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from finsler_billiards import (
+    ConvexTable,
     EuclideanMetric,
     InvalidParameters,
     MinkowskiMetric,
+    SearchConfig,
     conormal,
     ellipsoid_table,
+    find_critical,
     project_to_boundary,
     table_from_spec,
     tangent_basis,
@@ -124,3 +127,34 @@ def test_spec_validation_errors():
 def test_boundary_point_rejects_interior(unit_sphere):
     with pytest.raises(InvalidParameters):
         unit_sphere.boundary_point([0.5, 0.0, 0.0])
+
+
+def user_circle(grad_phi):
+    """The unit circle built from user callables, phi = x.x - 1."""
+    return ConvexTable(lambda x: float(x @ x) - 1.0, grad_phi, 1.0, 2)
+
+
+def test_user_table_with_list_gradient():
+    table = user_circle(lambda x: [2.0 * x[0], 2.0 * x[1]])
+    metric = EuclideanMetric()
+    bp = project_to_boundary(table, [2.0, 1.0])
+    expected = np.array([2.0, 1.0]) / np.sqrt(5.0)
+    assert np.allclose(bp.position.components, expected, atol=1e-12)
+    assert np.allclose(bp.outward_normal.components, expected, atol=1e-12)
+    assert np.allclose(conormal(table, bp, metric).components, expected, atol=1e-12)
+    records = find_critical(metric, table, 3, SearchConfig(seeds=4, rng_seed=0))
+    assert records
+    for rec in records:
+        assert rec.polygon.lambda_value == pytest.approx(3.0 * np.sqrt(3.0), abs=1e-7)
+        assert "continuum-suspect" in rec.flags
+
+
+@pytest.mark.parametrize("start", [[2.0, 1.0], [1.0, 0.0]], ids=["outside", "on-boundary"])
+def test_user_table_gradient_of_wrong_shape_rejected(start):
+    table = user_circle(lambda x: np.array([2.0 * x[0], 2.0 * x[1], 0.0]))
+    with pytest.raises(InvalidParameters, match="wrong shape"):
+        table.grad(start)
+    with pytest.raises(InvalidParameters, match="wrong shape"):
+        project_to_boundary(table, start)
+    with pytest.raises(InvalidParameters, match="wrong shape"):
+        find_critical(EuclideanMetric(), table, 3, SearchConfig(seeds=4, rng_seed=0))
