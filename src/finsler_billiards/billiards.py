@@ -3,9 +3,10 @@
 At a boundary point the incoming indicatrix direction u (positive conormal
 pairing) reflects to the outgoing direction v determined by the cotangent
 relation: the difference of Legendre transforms of u and v is a positive
-multiple of the unit conormal.  The outgoing covector is found by root
-finding on the drop parameter t, since the dual norm of ``D_u - t p`` is a
-convex function of t that equals 1 at t = 0 and at exactly one t > 0.
+multiple t of the unit conormal p.  The drop t solves dual_norm(D_u - t p) = 1;
+the metric gives it in closed form where it can (the mirror law for the
+Randers family, the G-mirror for a constant Riemannian metric) and by root
+finding on the convex dual norm along the line otherwise.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from .vectors import as_components
 __all__ = ["BoundaryState", "reflect", "billiard_step", "trace"]
 
 GRAZING_TOL = 1e-8
-_BRACKET_START = 1e-6
-_BRACKET_CAP = 1e3
-_BISECT_WIDTH = 1e-12
 
 
 @dataclass(frozen=True)
@@ -39,9 +37,11 @@ class BoundaryState:
 def reflect(metric: FinslerMetric, table: ConvexTable, y: BoundaryPoint, u) -> np.ndarray:
     """Outgoing indicatrix direction for the incoming indicatrix direction u.
 
-    Solves dual_norm(D_u - t p) = 1 for the unique positive root t* and
-    returns the indicatrix point supporting the resulting unit covector.
-    Raises GrazingRay when the conormal pairing of u is below 1e-8.
+    Takes the unique positive root t of dual_norm(D_u - t p) = 1 from the
+    metric (closed form for the built-ins, root finding for user Lagrangians)
+    and returns the indicatrix point supporting the unit covector D_u - t p,
+    after checking it against the cotangent relation.  Raises GrazingRay when
+    the conormal pairing of u is below 1e-8.
     """
     ua = as_components(u, table.dim)
     x = y.position.components
@@ -52,36 +52,7 @@ def reflect(metric: FinslerMetric, table: ConvexTable, y: BoundaryPoint, u) -> n
     if pu <= GRAZING_TOL:
         raise GrazingRay(f"conormal pairing {pu} is below the grazing threshold")
     Du = metric._DL(x, ua)
-
-    def phi(t: float) -> float:
-        return metric._dual_norm(x, Du - t * p) - 1.0
-
-    # bracket the positive root: phi(0) = 0, phi'(0) < 0, phi convex
-    t_hi = _BRACKET_START
-    while phi(t_hi) <= 0.0:
-        t_hi *= 2.0
-        if t_hi > _BRACKET_CAP:
-            raise NoConvergence("reflection root bracket exceeded its cap")
-    t_lo = 0.0 if t_hi == _BRACKET_START else t_hi / 2.0
-    while t_hi - t_lo > _BISECT_WIDTH:
-        mid = 0.5 * (t_lo + t_hi)
-        if phi(mid) <= 0.0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    t = 0.5 * (t_lo + t_hi)
-    # Newton polish; the derivative of the dual norm at q is its maximizer
-    for _ in range(6):
-        q = Du - t * p
-        f = metric._dual_norm(x, q) - 1.0
-        slope = -float(p @ metric._dual_argmax(x, q))
-        if slope == 0.0:
-            break
-        t_new = t - f / slope
-        if t_new <= 0.0:
-            break
-        t = t_new
-
+    t = metric._reflection_drop(x, Du, p)
     q = Du - t * p
     v = metric._dual_argmax(x, q)
     Dv = metric._DL(x, v)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import numbers
 import os
 import sys
 
@@ -66,6 +67,15 @@ def _build_geometry(config: dict):
     return metric, table
 
 
+def _integer(value, name: str) -> int:
+    """An integer config value; booleans, fractions and non-numbers are rejected."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
+        raise InvalidParameters(f"{name!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _search_config(config: dict) -> SearchConfig:
     raw = config.get("search", {})
     if not isinstance(raw, dict):
@@ -75,12 +85,12 @@ def _search_config(config: dict) -> SearchConfig:
     if unknown:
         raise InvalidParameters(f"unknown search parameters: {sorted(unknown)}")
     return SearchConfig(
-        seeds=int(raw.get("seeds", 500)),
-        rng_seed=int(raw.get("rng_seed", 0)),
+        seeds=_integer(raw.get("seeds", 500), "seeds"),
+        rng_seed=_integer(raw.get("rng_seed", 0), "rng_seed"),
         grad_tol=raw.get("grad_tol"),
         epsilon=raw.get("epsilon"),
         cluster_tol=raw.get("cluster_tol"),
-        max_iter=int(raw.get("max_iter", 60)),
+        max_iter=_integer(raw.get("max_iter", 60), "max_iter"),
     )
 
 
@@ -89,7 +99,7 @@ def run_search(config: dict) -> tuple[dict, int]:
     metric, table = _build_geometry(config)
     if "r" not in config:
         raise InvalidParameters("search config requires 'r'")
-    r = int(config["r"])
+    r = _integer(config["r"], "r")
     cfg = _search_config(config)
     bound_kind = config.get("bound", "general")
     if bound_kind not in ("general", "generic"):
@@ -191,7 +201,7 @@ def run_trace(config: dict) -> tuple[dict, int]:
         for key in ("start", "direction", "steps"):
             if key not in tr:
                 raise InvalidParameters(f"billiard trace requires '{key}'")
-        steps = int(tr["steps"])
+        steps = _integer(tr["steps"], "steps")
         start = project_to_boundary(table, as_components(tr["start"], table.dim))
         direction = metric._unit(start.position.components,
                                  as_components(tr["direction"], table.dim))

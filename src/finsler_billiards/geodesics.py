@@ -30,8 +30,6 @@ from .vectors import as_components
 
 __all__ = ["GeodesicSegment", "connect", "integrate_geodesic", "intersect_forward"]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
 _TMIN_REL = 1e-6
 _EXIT_TOL_REL = 1e-12
 _HORIZON_RADII = 8.0
@@ -78,19 +76,16 @@ def _arc_tangent(theta: float, omega: float) -> np.ndarray:
 
 def _drift_integral(metric: MagneticMetric, center: np.ndarray, radius: float,
                     theta0: float, omega: float, arclen: float) -> float:
-    """Line integral of the drift one-form along the arc (32-node quadrature)."""
-    s = 0.5 * arclen * (_GL_NODES + 1.0)
-    w = 0.5 * arclen * _GL_WEIGHTS
-    theta = theta0 + omega * s / radius
-    px = center[0] + radius * np.cos(theta)
-    py = center[1] + radius * np.sin(theta)
-    if omega < 0:
-        tx, ty = np.sin(theta), -np.cos(theta)
-    else:
-        tx, ty = -np.sin(theta), np.cos(theta)
-    # alpha(x, y) = (B/2) (-y, x)
-    integrand = 0.5 * metric.B * (-py * tx + px * ty)
-    return float(w @ integrand)
+    """Line integral of the drift one-form along the arc, in closed form.
+
+    On x = c + R (cos theta, sin theta) the form (B/2)(x dy - y dx) is
+    (B/2)(R^2 + R (c_x cos theta + c_y sin theta)) dtheta.
+    """
+    theta1 = theta0 + omega * arclen / radius
+    return 0.5 * metric.B * (
+        radius * radius * (theta1 - theta0)
+        + radius * (center[0] * (np.sin(theta1) - np.sin(theta0))
+                    - center[1] * (np.cos(theta1) - np.cos(theta0))))
 
 
 def _connect_magnetic(metric: MagneticMetric, x: np.ndarray, y: np.ndarray) -> GeodesicSegment:
@@ -240,8 +235,11 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
                        start: np.ndarray, direction: np.ndarray):
     """First boundary crossing of the forward flight; returns (point, tangent).
 
-    Steps along the flight path, brackets the sign change of phi, bisects and
-    polishes with Newton to |phi| <= 1e-12 * scale.
+    A chord from inside a convex table crosses the boundary exactly once, so
+    [s_min, horizon] brackets it.  Only a magnetic arc, which can leave the
+    table and re-enter it, steps along the path to bracket the first sign
+    change of phi.  The bracket is bisected and polished with Newton to
+    |phi| <= 1e-12 * scale.
     """
     path = _FlightPath(metric, start, direction)
     scale = table.scale
@@ -249,23 +247,21 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
     step = scale / 64.0
     horizon = _HORIZON_RADII * scale
 
-    f_prev = table._phi(path.point(s_min))
-    if f_prev >= 0.0:
+    if table._phi(path.point(s_min)) >= 0.0:
         raise GrazingDeparture("flight starts on or outside the boundary")
-    s_prev = s_min
-    bracket = None
-    s = s_prev
-    while s < horizon:
-        # half-step probe guards against an arc exiting and re-entering
-        for s_next in (s + 0.5 * step, s + step):
-            f_next = table._phi(path.point(s_next))
-            if f_next >= 0.0:
-                bracket = (s_prev, s_next)
-                break
-            s_prev, f_prev = s_next, f_next
-        if bracket is not None:
-            break
-        s += step
+    if metric.flat_geodesics:
+        bracket = (s_min, horizon) if table._phi(path.point(horizon)) >= 0.0 else None
+    else:
+        bracket = None
+        s_prev = s = s_min
+        while bracket is None and s < horizon:
+            # half-step probe guards against an arc exiting and re-entering
+            for s_next in (s + 0.5 * step, s + step):
+                if table._phi(path.point(s_next)) >= 0.0:
+                    bracket = (s_prev, s_next)
+                    break
+                s_prev = s_next
+            s += step
     if bracket is None:
         raise NoExit("no boundary crossing within the search horizon")
 

@@ -11,9 +11,12 @@ Built-ins: constant Riemannian and the Randers family ``|v| + a(x).v`` with
 ``|a(x)| < 1``: Euclidean (``a = 0``), constant-drift Minkowski and a planar
 constant magnetic field.  Randers indicatrices are ellipsoids with a focus at
 the origin, so their duals are evaluated in closed form, and the drift norm is
-checked once, where ``a(x)`` is made.  User-defined Lagrangians fall back to
-finite-difference fiber derivatives and a projected Newton maximization over a
-sphere chart.
+checked once, where ``a(x)`` is made.  The billiard reflection drop (see
+``_reflection_drop``) is closed form for every built-in: the Randers unit dual
+sphere is the Euclidean one shifted by ``a(x)``, which makes reflection the
+Euclidean mirror law, and the Riemannian one is the ``G``-mirror.  User-defined
+Lagrangians fall back to finite-difference fiber derivatives, a projected
+Newton maximization over a sphere chart, and a bracketed root for the drop.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ __all__ = [
 INDICATRIX_TOL = 1e-9
 FIGURATRIX_TOL = 1e-9
 _FD_H_REL = 1e-6
+_BRACKET_START = 1e-6
+_BRACKET_CAP = 1e3
+_BISECT_WIDTH = 1e-12
 
 
 def magnetic_indicatrix_params(t: float) -> tuple[float, float, float]:
@@ -236,6 +242,45 @@ class FinslerMetric:
                 break
         return u, f
 
+    # -- billiard reflection drop (root finding when no closed form exists)
+
+    def _reflection_drop(self, x: np.ndarray, Du: np.ndarray, p: np.ndarray) -> float:
+        """Positive root t of dual_norm(Du - t p) = 1 for a unit covector Du.
+
+        The dual norm along the line is convex in t, equals 1 at t = 0 and
+        decreases there (p pairs positively with the incoming direction), so
+        the root is bracketed by doubling, bisected and polished by Newton.
+        """
+
+        def phi(t: float) -> float:
+            return self._dual_norm(x, Du - t * p) - 1.0
+
+        t_hi = _BRACKET_START
+        while phi(t_hi) <= 0.0:
+            t_hi *= 2.0
+            if t_hi > _BRACKET_CAP:
+                raise NoConvergence("reflection root bracket exceeded its cap")
+        t_lo = 0.0 if t_hi == _BRACKET_START else t_hi / 2.0
+        while t_hi - t_lo > _BISECT_WIDTH:
+            mid = 0.5 * (t_lo + t_hi)
+            if phi(mid) <= 0.0:
+                t_lo = mid
+            else:
+                t_hi = mid
+        t = 0.5 * (t_lo + t_hi)
+        # Newton polish; the derivative of the dual norm at q is its maximizer
+        for _ in range(6):
+            q = Du - t * p
+            f = self._dual_norm(x, q) - 1.0
+            slope = -float(p @ self._dual_argmax(x, q))
+            if slope == 0.0:
+                break
+            t_new = t - f / slope
+            if t_new <= 0.0:
+                break
+            t = t_new
+        return t
+
     # -- second-order data for the geodesic integrator --------------------
 
     def _Lvv(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -342,6 +387,10 @@ class _RandersMetric(FinslerMetric):
     def _dual_argmax(self, x, q):
         return _randers_dual_argmax(self.alpha_at(x), q)
 
+    def _reflection_drop(self, x, Du, p):
+        # the unit dual sphere is the Euclidean unit sphere shifted by alpha(x)
+        return 2.0 * float((Du - self.alpha_at(x)) @ p) / float(p @ p)
+
     def _Lvv(self, x, v):
         n = float(np.linalg.norm(v))
         vh = v / n
@@ -407,6 +456,10 @@ class RiemannianMetric(FinslerMetric):
         if dn == 0.0:
             raise InvalidParameters("cannot maximize the zero covector")
         return self.Ginv @ q / dn
+
+    def _reflection_drop(self, x, Du, p):
+        Gp = self.Ginv @ p
+        return 2.0 * float(Du @ Gp) / float(p @ Gp)
 
     def _Lvv(self, x, v):
         L = self._L(x, v)

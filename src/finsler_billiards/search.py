@@ -173,8 +173,14 @@ def length_function(metric: FinslerMetric, polygon) -> float:
     return math.fsum(connect(metric, pts[i], pts[(i + 1) % r]).length for i in range(r))
 
 
-def _grad_flat(metric: FinslerMetric, table: ConvexTable, pts: np.ndarray) -> np.ndarray:
-    """Projected gradient of the cyclic length, flattened to r*(d-1)."""
+def _grad_flat(metric: FinslerMetric, table: ConvexTable, pts: np.ndarray,
+               frames=None) -> np.ndarray:
+    """Projected gradient of the cyclic length, flattened to r*(d-1).
+
+    Given reference ``frames`` from nearby points, each vertex's default
+    tangent frame is turned onto frames[i] by the orthogonal polar factor of
+    their overlap, which stays continuous where the default frame jumps.
+    """
     r, d = pts.shape
     segs = [connect(metric, pts[i], pts[(i + 1) % r]) for i in range(r)]
     out = np.empty((r, d - 1))
@@ -183,6 +189,9 @@ def _grad_flat(metric: FinslerMetric, table: ConvexTable, pts: np.ndarray) -> np
         v = segs[i].start_tangent
         cov = metric._DL(pts[i], u) - metric._DL(pts[i], v)
         frame = orthonormal_complement(table._grad(pts[i]))
+        if frames is not None:
+            left, _, right = np.linalg.svd(frames[i] @ frame.T)
+            frame = left @ right @ frame
         out[i] = frame @ cov
     return out.ravel()
 
@@ -298,7 +307,7 @@ def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
     if not _check_distinct(pts, scale):
         raise CoincidentPoints("consecutive vertices coincide within tolerance")
     frames = [orthonormal_complement(table._grad(p)) for p in pts]
-    J = _jacobian(metric, table, pts, frames, _JAC_H_REL * scale, scale)
+    J = _jacobian(metric, table, pts, frames, _JAC_H_REL * scale, scale, carry_frames=True)
     if J is None:
         raise InvalidParameters("the chart Hessian is undefined at this polygon")
     eigs = np.linalg.eigvalsh(0.5 * (J + J.T))
@@ -311,21 +320,25 @@ def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
 # multistart refinement
 
 
-def _safe_grad(metric, table, pts, scale):
+def _safe_grad(metric, table, pts, scale, frames=None):
     if not _check_distinct(pts, scale):
         return None
     try:
-        return _grad_flat(metric, table, pts)
+        return _grad_flat(metric, table, pts, frames)
     except FinslerBilliardsError:
         return None
 
 
-def _jacobian(metric, table, pts, frames, h, scale):
+def _jacobian(metric, table, pts, frames, h, scale, carry_frames=False):
     """Central-difference Jacobian of the projected gradient; None if it fails.
 
     Column (i, k) moves vertex i by +-h along frames[i][k], projected back
-    onto the boundary.
+    onto the boundary.  With ``carry_frames`` both gradients are taken in
+    frames turned onto ``frames``, so a jump of the default frame between the
+    two probes (where two normal components tie in size) cannot enter the
+    difference; the Hessian that ``morse_index`` reads needs that.
     """
+    ref = frames if carry_frames else None
     r, d = pts.shape
     n = r * (d - 1)
     J = np.empty((n, n))
@@ -341,8 +354,8 @@ def _jacobian(metric, table, pts, frames, h, scale):
                     table, pts[i] - h * frames[i][k]).position.components
             except FinslerBilliardsError:
                 return None
-            gp = _safe_grad(metric, table, plus, scale)
-            gm = _safe_grad(metric, table, minus, scale)
+            gp = _safe_grad(metric, table, plus, scale, ref)
+            gm = _safe_grad(metric, table, minus, scale, ref)
             if gp is None or gm is None:
                 return None
             J[:, col] = (gp - gm) / (2.0 * h)

@@ -5,6 +5,7 @@ import finsler_billiards as fb
 from finsler_billiards import (
     BoundaryState,
     EuclideanMetric,
+    FinslerMetric,
     GrazingRay,
     InvalidParameters,
     LagrangianMetric,
@@ -49,6 +50,10 @@ def test_reflection_law_residual(metric, dim, rng):
         assert np.max(np.abs(Du - Dv - t * p)) <= 1e-9 * np.linalg.norm(Du)
         assert abs(metric.lagrangian(x, v) - 1.0) <= 1e-9
         assert float(p @ v) < 0.0
+        # the closed-form drop against the generic root finder on the same metric
+        t_generic = FinslerMetric._reflection_drop(metric, x, Du, p)
+        assert abs(metric._reflection_drop(x, Du, p) - t_generic) <= 1e-12 * t_generic
+        assert np.max(np.abs(v - metric._dual_argmax(x, Du - t_generic * p))) <= 1e-12
 
 
 def test_magnetic_reflection_equals_mirror(ellipse, rng):

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from finsler_billiards import cli
 
@@ -104,6 +105,37 @@ def test_search_rejects_zero_cluster_tol(tmp_path, capsys):
     code = cli.main(["search", "--config", write_config(tmp_path, config)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("r", 3.7), ("r", True), ("seeds", 2.9), ("seeds", "20"), ("rng_seed", 0.5),
+    ("rng_seed", False), ("max_iter", True), ("max_iter", 60.5),
+])
+def test_search_rejects_non_integer_values(tmp_path, capsys, key, value):
+    # before, int() ran r = 3.7 as 3, seeds = 2.9 as 2 and max_iter = true as 1
+    if key == "r":
+        config = dict(DISK_SEARCH, r=value)
+    else:
+        config = dict(DISK_SEARCH, search=dict(DISK_SEARCH["search"], **{key: value}))
+    code = cli.main(["search", "--config", write_config(tmp_path, config)])
+    assert code == 1
+    assert f"'{key}' must be an integer" in capsys.readouterr().err
+
+
+def test_integral_float_values_are_accepted(tmp_path, capsys):
+    config = dict(DISK_SEARCH, r=3.0, search={"seeds": 15.0, "rng_seed": 0})
+    cli.main(["search", "--config", write_config(tmp_path, config)])
+    first = json.loads(capsys.readouterr().out)
+    cli.main(["search", "--config", write_config(tmp_path, DISK_SEARCH)])
+    assert first == json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("steps", [2.5, True, "50"])
+def test_trace_rejects_non_integer_steps(tmp_path, capsys, steps):
+    config = dict(MAGNETIC_TRACE, trace=dict(MAGNETIC_TRACE["trace"], steps=steps))
+    code = cli.main(["trace", "--config", write_config(tmp_path, config)])
+    assert code == 1
+    assert "'steps' must be an integer" in capsys.readouterr().err
 
 
 def test_search_seed_override_changes_config(tmp_path, capsys):

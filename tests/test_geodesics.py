@@ -15,7 +15,7 @@ from finsler_billiards import (
     integrate_geodesic,
     intersect_forward,
 )
-from finsler_billiards.geodesics import _march_to_boundary
+from finsler_billiards.geodesics import _drift_integral, _march_to_boundary
 
 
 def larmor_center(B, p, direction):
@@ -89,6 +89,33 @@ def test_magnetic_arc_length_against_trapezoid_oracle():
     lag = 1.0 + 0.1 * (-py * tx + px * ty)
     oracle = np.trapezoid(lag, s)
     assert abs(seg.length - oracle) <= 1e-8
+
+
+def test_drift_integral_against_gauss_legendre(rng):
+    # the 32-node quadrature the closed form replaced, kept as the oracle
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    for _ in range(500):
+        B = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.8)
+        m = MagneticMetric(B)
+        R = m.larmor_radius
+        x = rng.uniform(-1.0, 1.0, size=2)
+        d = rng.standard_normal(2)
+        d /= np.linalg.norm(d)
+        center = larmor_center(B, x, d)
+        omega = -1.0 if B > 0 else 1.0
+        theta0 = float(np.arctan2(x[1] - center[1], x[0] - center[0]))
+        arclen = rng.uniform(0.01, np.pi * R)
+        s = 0.5 * arclen * (nodes + 1.0)
+        theta = theta0 + omega * s / R
+        px = center[0] + R * np.cos(theta)
+        py = center[1] + R * np.sin(theta)
+        tx, ty = -omega * np.sin(theta), omega * np.cos(theta)
+        integrand = 0.5 * B * (px * ty - py * tx)
+        w = 0.5 * arclen * weights
+        oracle = float(w @ integrand)
+        got = _drift_integral(m, center, R, theta0, omega, arclen)
+        # relative to the arc's Finsler length, arc length plus drift integral
+        assert abs(got - oracle) <= 1e-14 * (arclen + oracle)
 
 
 def test_magnetic_diametric_arc():
@@ -228,9 +255,34 @@ def test_intersect_circle_inclined_chord(unit_circle):
 
 
 def test_intersect_ellipsoid_against_quadratic_formula(rng):
+    # the chord runs along the Euclidean direction of v whatever the norm
     table = fb.ellipsoid_table([1.0, 1.3, 1.7])
-    m = EuclideanMetric()
     inv2 = 1.0 / np.array([1.0, 1.3, 1.7]) ** 2
+    for m in [EuclideanMetric()] * 20 + [MinkowskiMetric([0.3, 0.1, 0.0])] * 20:
+        y = fb.project_to_boundary(table, rng.standard_normal(3))
+        n = y.outward_normal.components
+        w = rng.standard_normal(3)
+        if w @ n > 0:
+            w = w - 2 * (w @ n) * n
+        if abs(w @ n) / np.linalg.norm(w) < 0.2:
+            continue
+        w /= np.linalg.norm(w)
+        p0 = y.position.components
+        hit = intersect_forward(m, table, y, m._unit(p0, w))
+        # quadratic-formula root for the quadric
+        a = w @ (inv2 * w)
+        b = 2.0 * p0 @ (inv2 * w)
+        c = p0 @ (inv2 * p0) - 1.0
+        t = (-b + np.sqrt(b * b - 4 * a * c)) / (2 * a)
+        assert np.linalg.norm(hit.position.components - (p0 + t * w)) <= 1e-9
+        assert abs(table.phi(hit.position.components)) <= 1e-12 * table.scale
+        assert t > 1e-6 * table.scale
+
+
+@pytest.mark.parametrize("m", [EuclideanMetric(), MinkowskiMetric([0.2, 0.0, 0.1])],
+                         ids=["euclidean", "minkowski"])
+def test_chord_exit_on_bumpy_ellipsoid(m, bumpy_ellipsoid, rng):
+    table = bumpy_ellipsoid
     for _ in range(20):
         y = fb.project_to_boundary(table, rng.standard_normal(3))
         n = y.outward_normal.components
@@ -240,16 +292,23 @@ def test_intersect_ellipsoid_against_quadratic_formula(rng):
         if abs(w @ n) / np.linalg.norm(w) < 0.2:
             continue
         w /= np.linalg.norm(w)
-        hit = intersect_forward(m, table, y, w)
-        # quadratic-formula root for the quadric
         p0 = y.position.components
-        a = w @ (inv2 * w)
-        b = 2.0 * p0 @ (inv2 * w)
-        c = p0 @ (inv2 * p0) - 1.0
-        t = (-b + np.sqrt(b * b - 4 * a * c)) / (2 * a)
-        assert np.linalg.norm(hit.position.components - (p0 + t * w)) <= 1e-9
-        assert abs(table.phi(hit.position.components)) <= 1e-12 * table.scale
+        hit = intersect_forward(m, table, y, m._unit(p0, w)).position.components
+        t = float((hit - p0) @ w)
         assert t > 1e-6 * table.scale
+        assert np.linalg.norm(hit - (p0 + t * w)) <= 1e-12 * table.scale
+        assert abs(table.phi(hit)) <= 1e-12 * table.scale
+        # the crossing is the first one: the chord stays inside before it
+        assert all(table.phi(p0 + s * w) < 0.0 for s in np.linspace(0.01, 0.99, 50) * t)
+
+
+def test_chord_reports_no_exit_beyond_the_horizon():
+    # a table whose bounding_radius understates its boundary (radius 10) by
+    # more than the 8-radius horizon
+    table = fb.ConvexTable(lambda x: float(x @ x) - 100.0, lambda x: 2.0 * x,
+                           bounding_radius=1.0, dim=2)
+    with pytest.raises(NoExit):
+        _march_to_boundary(EuclideanMetric(), table, np.zeros(2), np.array([0.6, 0.8]))
 
 
 def test_intersect_rejects_grazing_and_outward(unit_circle):

@@ -169,9 +169,12 @@ def test_rotation_numbers():
 
 
 def test_morse_index_disk_triangle_is_degenerate(unit_circle):
-    # two descending directions and the rotational continuum direction
-    assert morse_index(EuclideanMetric(), unit_circle,
-                       circle_polygon([90, 210, 330])) == (2, 1)
+    # two descending directions and the rotational continuum direction; a
+    # vertex on a diagonal, where the two normal components tie, must not
+    # change the count
+    for angles in ([90, 210, 330], [105, 225, 345]):
+        assert morse_index(EuclideanMetric(), unit_circle,
+                           circle_polygon(angles)) == (2, 1)
 
 
 @pytest.mark.parametrize("semi_axes, axis, expected", [
