@@ -12,6 +12,7 @@ validation or runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import numbers
@@ -80,18 +81,15 @@ def _search_config(config: dict) -> SearchConfig:
     raw = config.get("search", {})
     if not isinstance(raw, dict):
         raise InvalidParameters("'search' must be an object")
-    known = {"seeds", "rng_seed", "grad_tol", "epsilon", "cluster_tol", "max_iter"}
-    unknown = set(raw) - known
+    # integer fields are the ones with an integer default; tolerances default to None
+    fields = {f.name: f.default for f in dataclasses.fields(SearchConfig)}
+    unknown = set(raw) - set(fields)
     if unknown:
         raise InvalidParameters(f"unknown search parameters: {sorted(unknown)}")
-    return SearchConfig(
-        seeds=_integer(raw.get("seeds", 500), "seeds"),
-        rng_seed=_integer(raw.get("rng_seed", 0), "rng_seed"),
-        grad_tol=raw.get("grad_tol"),
-        epsilon=raw.get("epsilon"),
-        cluster_tol=raw.get("cluster_tol"),
-        max_iter=_integer(raw.get("max_iter", 60), "max_iter"),
-    )
+    return SearchConfig(**{
+        key: _integer(value, key) if isinstance(fields[key], int) else value
+        for key, value in raw.items()
+    })
 
 
 def run_search(config: dict) -> tuple[dict, int]:

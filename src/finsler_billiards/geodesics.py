@@ -10,6 +10,7 @@ solving for arbitrary curved metrics is out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,22 +57,16 @@ def _rot90(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1], v[0]])
 
 
-def _larmor_circle(metric: MagneticMetric, p: np.ndarray, direction: np.ndarray):
-    """Center and signed angular rate of the flight circle through p.
-
-    ``direction`` is the Euclidean-unit velocity at p.  Returns (center,
-    radius, omega) with theta(s) = theta0 + omega * s / radius.
+def _circle_center(metric: MagneticMetric, p: np.ndarray, direction: np.ndarray, dist: float):
+    """Point dist from p on the turning side of the unit ``direction``, and the
+    signed angular rate omega of flight circles, -1 (clockwise) for B > 0.
     """
-    R = metric.larmor_radius
-    if metric.B > 0:
-        return p - R * _rot90(direction), R, -1.0
-    return p + R * _rot90(direction), R, 1.0
+    omega = -1.0 if metric.B > 0 else 1.0
+    return p + omega * dist * _rot90(direction), omega
 
 
 def _arc_tangent(theta: float, omega: float) -> np.ndarray:
-    if omega < 0:
-        return np.array([np.sin(theta), -np.cos(theta)])
-    return np.array([-np.sin(theta), np.cos(theta)])
+    return omega * np.array([-np.sin(theta), np.cos(theta)])
 
 
 def _drift_integral(metric: MagneticMetric, center: np.ndarray, radius: float,
@@ -100,12 +95,7 @@ def _connect_magnetic(metric: MagneticMetric, x: np.ndarray, y: np.ndarray) -> G
     q = np.sqrt(max(R * R - h * h, 0.0))
     mid = 0.5 * (x + y)
     # center side fixed by the turning direction so the traversed arc is minor
-    if metric.B > 0:
-        center = mid - q * _rot90(chat)
-        omega = -1.0
-    else:
-        center = mid + q * _rot90(chat)
-        omega = 1.0
+    center, omega = _circle_center(metric, mid, chat, q)
     theta_x = float(np.arctan2(x[1] - center[1], x[0] - center[0]))
     theta_y = float(np.arctan2(y[1] - center[1], y[0] - center[0]))
     sweep = (omega * (theta_y - theta_x)) % (2.0 * np.pi)
@@ -177,8 +167,9 @@ def integrate_geodesic(metric: FinslerMetric, x, v, t_max: float, dt: float):
     """
     xa = np.array(as_components(x, metric.dim))
     va = np.array(as_components(v, metric.dim))
-    if dt <= 0:
-        raise InvalidParameters("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0 and math.isfinite(t_max / dt)):
+        raise InvalidParameters(
+            f"t_max and dt must be finite, dt > 0 and t_max / dt finite; got {t_max!r}, {dt!r}")
     if abs(metric._L(xa, va) - 1.0) > 1e-9:
         raise NotOnIndicatrix("initial velocity must have unit Finsler length")
     n = max(int(round(t_max / dt)), 1)
@@ -212,7 +203,8 @@ class _FlightPath:
             raise InvalidParameters("flight direction must be nonzero")
         self.direction = d = direction / norm
         if isinstance(metric, MagneticMetric):
-            self.center, self.radius, self.omega = _larmor_circle(metric, start, d)
+            self.radius = metric.larmor_radius
+            self.center, self.omega = _circle_center(metric, start, d, self.radius)
             self.theta0 = float(np.arctan2(start[1] - self.center[1],
                                            start[0] - self.center[0]))
         elif not metric.flat_geodesics:

@@ -15,6 +15,7 @@ and guards against collapsed polygons with the edge-product threshold.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .metrics import FinslerMetric, MagneticMetric, validate_field_strength
 from .tables import (
     BoundaryPoint,
     ConvexTable,
+    _largest_axis,
     orthonormal_complement,
     project_to_boundary,
     random_boundary_point,
@@ -58,6 +60,16 @@ _MIN_EDGE_REL = 1e-4
 _JAC_H_REL = 1e-6
 _EIG_TOL_REL = 1e-6
 _CONTINUUM_REL = 1e-4
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidParameters(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_tol(name: str, value) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidParameters(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -105,24 +117,17 @@ class SearchConfig:
     max_iter: int = 60
 
     def __post_init__(self):
-        for name in ("seeds", "max_iter"):
-            if getattr(self, name) < 1:
-                raise InvalidParameters(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, minimum in (("seeds", 1), ("rng_seed", 0), ("max_iter", 1)):
+            _check_int(name, getattr(self, name), minimum)
         for name in ("grad_tol", "epsilon", "cluster_tol"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0.0):
-                raise InvalidParameters(f"{name} must be finite and > 0, got {value}")
+            if getattr(self, name) is not None:
+                _check_tol(name, getattr(self, name))
 
     def resolved(self, table: ConvexTable, r: int) -> dict:
         s = table.scale
-        return {
-            "seeds": self.seeds,
-            "rng_seed": self.rng_seed,
-            "grad_tol": self.grad_tol if self.grad_tol is not None else 1e-9 * s,
-            "epsilon": self.epsilon if self.epsilon is not None else 1e-9 * s**r,
-            "cluster_tol": self.cluster_tol if self.cluster_tol is not None else 1e-5 * s,
-            "max_iter": self.max_iter,
-        }
+        defaults = {"grad_tol": 1e-9 * s, "epsilon": 1e-9 * s**r, "cluster_tol": 1e-5 * s}
+        return {name: defaults[name] if value is None else value
+                for name, value in vars(self).items()}
 
 
 def _points_array(points, dim: int | None = None) -> np.ndarray:
@@ -174,12 +179,11 @@ def length_function(metric: FinslerMetric, polygon) -> float:
 
 
 def _grad_flat(metric: FinslerMetric, table: ConvexTable, pts: np.ndarray,
-               frames=None) -> np.ndarray:
+               drops=None) -> np.ndarray:
     """Projected gradient of the cyclic length, flattened to r*(d-1).
 
-    Given reference ``frames`` from nearby points, each vertex's default
-    tangent frame is turned onto frames[i] by the orthogonal polar factor of
-    their overlap, which stays continuous where the default frame jumps.
+    Vertex i's tangent frame is ``orthonormal_complement`` of its normal,
+    leaving out coordinate axis drops[i] when ``drops`` is given.
     """
     r, d = pts.shape
     segs = [connect(metric, pts[i], pts[(i + 1) % r]) for i in range(r)]
@@ -188,10 +192,8 @@ def _grad_flat(metric: FinslerMetric, table: ConvexTable, pts: np.ndarray,
         u = segs[i - 1].end_tangent
         v = segs[i].start_tangent
         cov = metric._DL(pts[i], u) - metric._DL(pts[i], v)
-        frame = orthonormal_complement(table._grad(pts[i]))
-        if frames is not None:
-            left, _, right = np.linalg.svd(frames[i] @ frame.T)
-            frame = left @ right @ frame
+        frame = orthonormal_complement(table._grad(pts[i]),
+                                       None if drops is None else drops[i])
         out[i] = frame @ cov
     return out.ravel()
 
@@ -208,8 +210,7 @@ def grad_length(metric: FinslerMetric, table: ConvexTable, polygon) -> np.ndarra
 
 def in_g_epsilon(polygon: CyclicPolygon, epsilon: float) -> bool:
     """Whether the product of edge lengths clears the compactness threshold."""
-    if not epsilon > 0:
-        raise InvalidParameters("epsilon must be positive")
+    _check_tol("epsilon", epsilon)
     return polygon.edge_product >= epsilon
 
 
@@ -254,6 +255,7 @@ def canonicalize(polygon, cluster_tol: float) -> tuple:
     rotations that differ beyond tolerance are retried with finer rounding
     and reported if unresolved.
     """
+    _check_tol("cluster_tol", cluster_tol)
     pts = _points_array(polygon)
     r = pts.shape[0]
     tol = float(cluster_tol)
@@ -304,12 +306,13 @@ def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
     pts = _points_array(polygon, table.dim)
     scale = table.scale
     tol = eig_tol if eig_tol is not None else _EIG_TOL_REL * scale
+    _check_tol("eig_tol", tol)
     if not _check_distinct(pts, scale):
         raise CoincidentPoints("consecutive vertices coincide within tolerance")
-    frames = [orthonormal_complement(table._grad(p)) for p in pts]
-    J = _jacobian(metric, table, pts, frames, _JAC_H_REL * scale, scale, carry_frames=True)
-    if J is None:
+    jac = _jacobian(metric, table, pts, _JAC_H_REL * scale, scale)
+    if jac is None:
         raise InvalidParameters("the chart Hessian is undefined at this polygon")
+    J, _ = jac
     eigs = np.linalg.eigvalsh(0.5 * (J + J.T))
     index = int(np.sum(eigs < -tol))
     degeneracy = int(np.sum(np.abs(eigs) <= tol))
@@ -320,29 +323,29 @@ def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
 # multistart refinement
 
 
-def _safe_grad(metric, table, pts, scale, frames=None):
+def _safe_grad(metric, table, pts, scale, drops=None):
     if not _check_distinct(pts, scale):
         return None
     try:
-        return _grad_flat(metric, table, pts, frames)
+        return _grad_flat(metric, table, pts, drops)
     except FinslerBilliardsError:
         return None
 
 
-def _jacobian(metric, table, pts, frames, h, scale, carry_frames=False):
+def _jacobian(metric, table, pts, h, scale):
     """Central-difference Jacobian of the projected gradient; None if it fails.
 
-    Column (i, k) moves vertex i by +-h along frames[i][k], projected back
-    onto the boundary.  With ``carry_frames`` both gradients are taken in
-    frames turned onto ``frames``, so a jump of the default frame between the
-    two probes (where two normal components tie in size) cannot enter the
-    difference; the Hessian that ``morse_index`` reads needs that.
+    Returns (J, frames).  Column (i, k) moves vertex i by +-h along
+    frames[i][k], the default tangent frame, projected back onto the boundary.
+    The probe gradients leave out the same frame axes as the default frames,
+    so the frames do not jump between probes where two normal components tie.
     """
-    ref = frames if carry_frames else None
+    normals = [table._grad(p) for p in pts]
+    drops = [_largest_axis(n) for n in normals]
+    frames = [orthonormal_complement(normal, drop) for normal, drop in zip(normals, drops)]
     r, d = pts.shape
     n = r * (d - 1)
     J = np.empty((n, n))
-    col = 0
     for i in range(r):
         for k in range(d - 1):
             try:
@@ -354,13 +357,12 @@ def _jacobian(metric, table, pts, frames, h, scale, carry_frames=False):
                     table, pts[i] - h * frames[i][k]).position.components
             except FinslerBilliardsError:
                 return None
-            gp = _safe_grad(metric, table, plus, scale, ref)
-            gm = _safe_grad(metric, table, minus, scale, ref)
+            gp = _safe_grad(metric, table, plus, scale, drops)
+            gm = _safe_grad(metric, table, minus, scale, drops)
             if gp is None or gm is None:
                 return None
-            J[:, col] = (gp - gm) / (2.0 * h)
-            col += 1
-    return J
+            J[:, i * (d - 1) + k] = (gp - gm) / (2.0 * h)
+    return J, frames
 
 
 def _retract(table, pts, frames, delta):
@@ -389,10 +391,10 @@ def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
     for _ in range(max_iter):
         if gn <= 1e-14 * scale:
             break
-        frames = [orthonormal_complement(table._grad(p)) for p in pts]
-        J = _jacobian(metric, table, pts, frames, h, scale)
-        if J is None:
+        jac = _jacobian(metric, table, pts, h, scale)
+        if jac is None:
             break
+        J, frames = jac
         delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
         dn = float(np.linalg.norm(delta))
         if dn > 0.5 * scale:
@@ -470,8 +472,7 @@ def find_critical(metric: FinslerMetric, table: ConvexTable, r: int,
     continuum radius (merged or Hessian-degenerate classes are flagged
     ``continuum-suspect``), and returned sorted by cyclic length.
     """
-    if r < 2:
-        raise InvalidParameters("period r must be >= 2")
+    _check_int("period r", r, 2)
     if metric.dim is not None and metric.dim != table.dim:
         raise InvalidParameters(
             f"metric dimension {metric.dim} does not match table dimension {table.dim}")

@@ -228,16 +228,23 @@ def project_to_boundary(table: ConvexTable, x) -> BoundaryPoint:
     return BoundaryPoint(Vector(a), Vector(g / gn))
 
 
-def orthonormal_complement(n: np.ndarray) -> np.ndarray:
+def _largest_axis(n: np.ndarray) -> int:
+    """The axis that orthonormal_complement(n) drops by default."""
+    return int(np.argmax(np.abs(n / np.linalg.norm(n))))
+
+
+def orthonormal_complement(n: np.ndarray, drop: int | None = None) -> np.ndarray:
     """Deterministic orthonormal basis of the hyperplane orthogonal to n.
 
     Rows of the returned (d-1, d) array are built by Gram-Schmidt from the
-    coordinate axes, dropping the axis with the largest |n| component.
+    coordinate axes, dropping axis ``drop``; by default the one with the
+    largest |n| component.
     """
     n = np.asarray(n, dtype=float)
     d = n.size
     nhat = n / np.linalg.norm(n)
-    drop = int(np.argmax(np.abs(nhat)))
+    if drop is None:
+        drop = int(np.argmax(np.abs(nhat)))
     rows = []
     for j in range(d):
         if j == drop:

@@ -230,6 +230,19 @@ def test_trace_geodesic_csv(tmp_path, capsys):
     assert len(lines) == 102
 
 
+@pytest.mark.parametrize("t_max, dt", [(float("inf"), 0.01), (1.0, float("inf")), (1e308, 1e-10)],
+                         ids=["t_max", "dt", "steps-overflow"])
+def test_trace_geodesic_rejects_infinite_time(tmp_path, capsys, t_max, dt):
+    # json.load reads Infinity, so a config file can carry it
+    trace = {"kind": "geodesic", "start": [0.0, 0.0], "direction": [1.0, 0.0],
+             "t_max": t_max, "dt": dt}
+    config = {"mode": "trace", "metric": {"kind": "magnetic", "B": 0.2},
+              "table": {"kind": "ellipsoid", "semi_axes": [1.0, 1.0]}, "trace": trace}
+    code = cli.main(["trace", "--config", write_config(tmp_path, config)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: t_max and dt must be finite")
+
+
 def test_mode_mismatch_rejected(tmp_path, capsys):
     code = cli.main(["trace", "--config", write_config(tmp_path, DISK_SEARCH)])
     assert code == 1

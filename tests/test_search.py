@@ -191,6 +191,19 @@ def test_morse_index_two_bounce_orbit(semi_axes, axis, expected):
     assert morse_index(EuclideanMetric(), table, pts) == expected
 
 
+def test_newton_jacobian_continuous_at_frame_tie(unit_circle):
+    # the vertex at 225 degrees has tied normal components; the rotated
+    # triangle has none, and the two Jacobians must share a spectrum
+    def spectrum(angles):
+        J, _ = fb.search._jacobian(EuclideanMetric(), unit_circle, circle_polygon(angles),
+                                   1e-6 * unit_circle.scale, unit_circle.scale)
+        return np.sort(np.linalg.eigvals(J).real)
+
+    tie, plain = spectrum([105, 225, 345]), spectrum([100, 220, 340])
+    assert plain == pytest.approx([-1.5 * np.sqrt(0.75)] * 2 + [0.0], abs=1e-6)
+    assert tie == pytest.approx(plain, abs=1e-6)
+
+
 def test_morse_index_rejects_coincident_vertices(unit_circle):
     with pytest.raises(InvalidParameters):
         morse_index(EuclideanMetric(), unit_circle, circle_polygon([0, 0, 180]))
@@ -273,6 +286,7 @@ def test_period_validation(unit_circle):
 @pytest.mark.parametrize("field, value", [
     ("seeds", 0), ("seeds", -3), ("max_iter", 0), ("grad_tol", -1.0),
     ("cluster_tol", 0.0), ("epsilon", 0.0), ("metric_dim", 3),
+    ("seeds", 2.5), ("seeds", True), ("max_iter", 2.5), ("rng_seed", -1), ("rng_seed", 1.5),
 ])
 def test_bad_search_parameters_rejected_where_they_enter(field, value, ellipse, monkeypatch):
     def no_seeding(*args):
@@ -286,6 +300,23 @@ def test_bad_search_parameters_rejected_where_they_enter(field, value, ellipse, 
             find_critical(metric, ellipse, 3, SearchConfig(seeds=1))
         else:
             SearchConfig(**{field: value})
+
+
+@pytest.mark.parametrize("call", [
+    lambda t, p: find_critical(EuclideanMetric(), t, 2.5, SearchConfig(seeds=1)),
+    lambda t, p: morse_index(EuclideanMetric(), t, p, eig_tol=-1.0),
+    lambda t, p: morse_index(EuclideanMetric(), t, p, eig_tol=float("nan")),
+    lambda t, p: canonicalize(p, 0.0),
+], ids=["r-fraction", "eig_tol-negative", "eig_tol-nan", "cluster_tol-zero"])
+def test_bad_function_arguments_rejected_where_they_enter(call, unit_circle, monkeypatch):
+    # a negative or NaN eig_tol would miscount the index instead of raising
+    def no_seeding(*args):
+        raise AssertionError("a seed was drawn before the parameters were checked")
+
+    monkeypatch.setattr(fb.search, "_random_seed", no_seeding)
+    monkeypatch.setattr(fb.search, "_trace_seed", no_seeding)
+    with pytest.raises(InvalidParameters):
+        call(unit_circle, circle_polygon([90, 210, 330]))
 
 
 def test_make_polygon_rejects_collapsed_edge(unit_circle):
