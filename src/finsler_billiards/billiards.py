@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GrazingRay, InvalidParameters, NoConvergence
+from .errors import GrazingRay, InvalidParameters, NoConvergence, _check_int
 from .geodesics import _march_to_boundary
 from .metrics import FinslerMetric
 from .tables import BoundaryPoint, ConvexTable, conormal
@@ -90,8 +90,7 @@ def trace(metric: FinslerMetric, table: ConvexTable, state: BoundaryState,
 
     Errors from a failing step are re-raised with the step index attached.
     """
-    if n_steps < 1:
-        raise InvalidParameters("n_steps must be >= 1")
+    _check_int("n_steps", n_steps, 1)
     out = []
     current = state
     for i in range(n_steps):

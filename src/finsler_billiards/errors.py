@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer argument check."""
+
+import numbers
 
 
 class FinslerBilliardsError(Exception):
@@ -59,3 +61,9 @@ class ZeroWinding(FinslerBilliardsError):
 
 class AmbiguousCanonicalization(FinslerBilliardsError):
     """Two cyclic rotations tie under rounding but differ beyond tolerance."""
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    """Reject a bool, a non-integer or a value below minimum with InvalidParameters."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise InvalidParameters(f"{name} must be an integer >= {minimum}, got {value!r}")

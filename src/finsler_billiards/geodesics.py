@@ -25,14 +25,13 @@ from .errors import (
     NotOnIndicatrix,
     SingularMass,
 )
-from .metrics import FinslerMetric, MagneticMetric
+from .metrics import FinslerMetric, MagneticMetric, _bracketed_root
 from .tables import BoundaryPoint, ConvexTable, conormal, orthonormal_complement
 from .vectors import as_components
 
 __all__ = ["GeodesicSegment", "connect", "integrate_geodesic", "intersect_forward"]
 
 _TMIN_REL = 1e-6
-_EXIT_TOL_REL = 1e-12
 _HORIZON_RADII = 8.0
 
 
@@ -230,8 +229,8 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
     A chord from inside a convex table crosses the boundary exactly once, so
     [s_min, horizon] brackets it.  Only a magnetic arc, which can leave the
     table and re-enter it, steps along the path to bracket the first sign
-    change of phi.  The bracket is bisected and polished with Newton to
-    |phi| <= 1e-12 * scale.
+    change of phi.  ``_bracketed_root`` then runs a safeguarded Newton on phi
+    from the bracket's outer end until its step is at most 1e-14 * scale.
     """
     path = _FlightPath(metric, start, direction)
     scale = table.scale
@@ -257,32 +256,12 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
     if bracket is None:
         raise NoExit("no boundary crossing within the search horizon")
 
-    lo, hi = bracket
-    for _ in range(200):
-        if hi - lo <= 1e-14 * scale:
-            break
-        mid = 0.5 * (lo + hi)
-        if table._phi(path.point(mid)) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    s_hit = 0.5 * (lo + hi)
-    # Newton polish on phi along the path
-    for _ in range(8):
-        p = path.point(s_hit)
-        f = table._phi(p)
-        if abs(f) <= _EXIT_TOL_REL * scale:
-            break
-        slope = float(table._grad(p) @ path.tangent(s_hit))
-        if slope == 0.0:
-            break
-        s_new = s_hit - f / slope
-        if not (lo - step <= s_new <= hi + step):
-            break
-        s_hit = s_new
+    s_hit = _bracketed_root(lambda s: table._phi(path.point(s)),
+                            lambda s: float(table._grad(path.point(s)) @ path.tangent(s)),
+                            *bracket, 1e-14 * scale)
     p = path.point(s_hit)
     if abs(table._phi(p)) > 1e-10 * scale:
-        raise NoConvergence("boundary crossing did not polish to tolerance")
+        raise NoConvergence("boundary crossing did not converge to tolerance")
     return p, path.tangent(s_hit)
 
 

@@ -21,6 +21,8 @@ Newton maximization over a sphere chart, and a bracketed root for the drop.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -51,7 +53,52 @@ FIGURATRIX_TOL = 1e-9
 _FD_H_REL = 1e-6
 _BRACKET_START = 1e-6
 _BRACKET_CAP = 1e3
-_BISECT_WIDTH = 1e-12
+_DROP_XTOL = 1e-12
+_ROOT_MAX_ITER = 100
+
+
+def _central_diff(f, y: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of f at y along each coordinate axis.
+
+    Entry (or column, for a vector-valued f) j is (f(y + h e_j) - f(y - h e_j)) / 2h.
+    """
+    cols = []
+    for j in range(y.size):
+        e = np.zeros(y.size)
+        e[j] = h
+        cols.append((f(y + e) - f(y - e)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
+def _bracketed_root(f, slope, lo: float, hi: float, xtol: float) -> float:
+    """Root of f in [lo, hi], where f(lo) <= 0 < f(hi), by safeguarded Newton.
+
+    Newton starts at hi; for a convex f, as along a chord through a convex
+    table or for the reflection drop, it descends monotonically onto the root.
+    Each iterate shrinks the bracket by the sign of f there, and a step that
+    leaves the bracket is replaced by its midpoint.  Stops when a Newton
+    step is at most xtol, the bracket is at most 2 xtol wide, or f is exactly
+    0; the caller checks the residual it needs.
+    """
+    x = hi
+    for _ in range(_ROOT_MAX_ITER):
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if fx > 0.0:
+            hi = x
+        else:
+            lo = x
+        d = slope(x)
+        step = fx / d if d != 0.0 else math.inf
+        if abs(step) <= xtol:
+            return x - step
+        x = x - step
+        if not lo < x < hi:  # also catches NaN
+            x = 0.5 * (lo + hi)
+            if hi - lo <= 2.0 * xtol:
+                return x
+    return x
 
 
 def magnetic_indicatrix_params(t: float) -> tuple[float, float, float]:
@@ -130,13 +177,7 @@ class FinslerMetric:
         h = _FD_H_REL * float(np.linalg.norm(v))
         if h == 0.0:
             raise ZeroVector("fiber derivative at the zero vector")
-        d = v.size
-        out = np.empty(d)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            out[i] = (self._L(x, v + e) - self._L(x, v - e)) / (2.0 * h)
-        return out
+        return _central_diff(lambda w: self._L(x, w), v, h)
 
     def _unit(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         if float(np.linalg.norm(v)) < 1e-14:
@@ -199,11 +240,7 @@ class FinslerMetric:
             def chart(s):
                 return value(u + s @ W)
 
-            g = np.empty(k)
-            for i in range(k):
-                s = np.zeros(k)
-                s[i] = h
-                g[i] = (chart(s) - chart(-s)) / (2.0 * h)
+            g = _central_diff(chart, np.zeros(k), h)
             if np.linalg.norm(g) <= gtol:
                 break
             H = np.empty((k, k))
@@ -249,7 +286,8 @@ class FinslerMetric:
 
         The dual norm along the line is convex in t, equals 1 at t = 0 and
         decreases there (p pairs positively with the incoming direction), so
-        the root is bracketed by doubling, bisected and polished by Newton.
+        the root is bracketed by doubling and found by ``_bracketed_root``;
+        the derivative of the dual norm at q is its maximizer.
         """
 
         def phi(t: float) -> float:
@@ -261,57 +299,22 @@ class FinslerMetric:
             if t_hi > _BRACKET_CAP:
                 raise NoConvergence("reflection root bracket exceeded its cap")
         t_lo = 0.0 if t_hi == _BRACKET_START else t_hi / 2.0
-        while t_hi - t_lo > _BISECT_WIDTH:
-            mid = 0.5 * (t_lo + t_hi)
-            if phi(mid) <= 0.0:
-                t_lo = mid
-            else:
-                t_hi = mid
-        t = 0.5 * (t_lo + t_hi)
-        # Newton polish; the derivative of the dual norm at q is its maximizer
-        for _ in range(6):
-            q = Du - t * p
-            f = self._dual_norm(x, q) - 1.0
-            slope = -float(p @ self._dual_argmax(x, q))
-            if slope == 0.0:
-                break
-            t_new = t - f / slope
-            if t_new <= 0.0:
-                break
-            t = t_new
-        return t
+        return _bracketed_root(phi, lambda t: -float(p @ self._dual_argmax(x, Du - t * p)),
+                               t_lo, t_hi, _DROP_XTOL)
 
     # -- second-order data for the geodesic integrator --------------------
 
     def _Lvv(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        h = _FD_H_REL * float(np.linalg.norm(v))
-        d = v.size
-        out = np.empty((d, d))
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            out[:, j] = (self._DL(x, v + e) - self._DL(x, v - e)) / (2.0 * h)
+        out = _central_diff(lambda w: self._DL(x, w), v, _FD_H_REL * float(np.linalg.norm(v)))
         return 0.5 * (out + out.T)
 
     def _Ly(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         h = _FD_H_REL * (1.0 + float(np.linalg.norm(x)))
-        d = x.size
-        out = np.empty(d)
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            out[j] = (self._L(x + e, v) - self._L(x - e, v)) / (2.0 * h)
-        return out
+        return _central_diff(lambda y: self._L(y, v), x, h)
 
     def _Lvy(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         h = _FD_H_REL * (1.0 + float(np.linalg.norm(x)))
-        d = x.size
-        out = np.empty((d, d))
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            out[:, j] = (self._DL(x + e, v) - self._DL(x - e, v)) / (2.0 * h)
-        return out
+        return _central_diff(lambda y: self._DL(y, v), x, h)
 
     # -- public typed surface ---------------------------------------------
 
@@ -518,6 +521,8 @@ class MagneticMetric(_RandersMetric):
 
     def __init__(self, B: float):
         B = float(B)
+        if not math.isfinite(B):
+            raise InvalidParameters(f"magnetic field B must be finite, got {B!r}")
         if B == 0.0:
             raise InvalidParameters("use EuclideanMetric for a zero field")
         self.B = B
@@ -595,6 +600,6 @@ def validate_field_strength(metric: MagneticMetric, table) -> float:
     up to the bounding-radius pad, for a centred ellipse).
     """
     bound = 0.5 * abs(metric.B) * table.bounding_radius
-    if bound >= 1.0:
+    if not bound < 1.0:  # also rejects NaN
         raise FieldTooStrong(f"drift norm bound {bound} >= 1 on the table")
     return bound

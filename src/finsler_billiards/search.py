@@ -15,7 +15,6 @@ and guards against collapsed polygons with the edge-product threshold.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (
     FinslerBilliardsError,
     InvalidParameters,
     ZeroWinding,
+    _check_int,
 )
 from .geodesics import GeodesicSegment, connect
 from .metrics import FinslerMetric, MagneticMetric, validate_field_strength
@@ -60,11 +60,6 @@ _MIN_EDGE_REL = 1e-4
 _JAC_H_REL = 1e-6
 _EIG_TOL_REL = 1e-6
 _CONTINUUM_REL = 1e-4
-
-
-def _check_int(name: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise InvalidParameters(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_tol(name: str, value) -> None:

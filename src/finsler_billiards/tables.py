@@ -11,6 +11,7 @@ surface the kernels call; the public ``phi``/``grad`` check coordinates first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -75,8 +76,9 @@ class ConvexTable:
                  dim: int, spec: dict | None = None):
         if dim < 2:
             raise InvalidParameters("table dimension must be >= 2")
-        if not bounding_radius > 0:
-            raise InvalidParameters("bounding_radius must be positive")
+        if not (bounding_radius > 0 and math.isfinite(bounding_radius)):
+            raise InvalidParameters(
+                f"bounding_radius must be finite and positive, got {bounding_radius!r}")
         self._phi_fn = phi
         self._grad_fn = grad_phi
         self.bounding_radius = float(bounding_radius)
@@ -155,8 +157,8 @@ def ellipsoid_table(semi_axes: Sequence[float], eps: float = 0.0,
     sublevel set convex.
     """
     a = np.asarray(list(semi_axes), dtype=float)
-    if a.ndim != 1 or a.size < 2 or np.any(a <= 0):
-        raise InvalidParameters("semi_axes must be >= 2 positive numbers")
+    if a.ndim != 1 or a.size < 2 or not np.all((a > 0) & np.isfinite(a)):
+        raise InvalidParameters("semi_axes must be >= 2 finite positive numbers")
     d = a.size
     if coeffs is None:
         c = np.ones(d)
@@ -164,7 +166,11 @@ def ellipsoid_table(semi_axes: Sequence[float], eps: float = 0.0,
         c = np.asarray(list(coeffs), dtype=float)
         if c.shape != (d,):
             raise InvalidParameters("perturbation coeffs must match the dimension")
+        if not np.all(np.isfinite(c)):
+            raise InvalidParameters("perturbation coeffs must be finite")
     eps = float(eps)
+    if not math.isfinite(eps):
+        raise InvalidParameters(f"perturbation eps must be finite, got {eps!r}")
     phi, grad = _ellipsoid_fields(a, eps, c)
     spec = {"kind": "ellipsoid", "semi_axes": [float(v) for v in a]}
     if eps != 0.0:

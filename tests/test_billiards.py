@@ -174,8 +174,9 @@ def test_trace_requires_positive_steps(unit_circle):
     m = EuclideanMetric()
     start = unit_circle.boundary_point([1.0, 0.0])
     state = BoundaryState(start, np.array([-1.0, 0.0]))
-    with pytest.raises(InvalidParameters):
-        trace(m, unit_circle, state, 0)
+    for n_steps in (0, True, 2.0, "3"):
+        with pytest.raises(InvalidParameters, match="n_steps must be an integer"):
+            trace(m, unit_circle, state, n_steps)
 
 
 def test_billiard_step_rejects_zero_direction(unit_circle):

@@ -146,11 +146,14 @@ def test_search_seed_override_changes_config(tmp_path, capsys):
 
 
 def test_search_invalid_config_exits_one(tmp_path, capsys):
-    bad = dict(DISK_SEARCH)
-    bad.pop("r")
-    code = cli.main(["search", "--config", write_config(tmp_path, bad)])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+    missing_r = dict(DISK_SEARCH)
+    missing_r.pop("r")
+    # json.dumps writes NaN, and json.loads reads it back
+    nan_field = dict(DISK_SEARCH, metric={"kind": "magnetic", "B": float("nan")})
+    for bad in (missing_r, nan_field):
+        code = cli.main(["search", "--config", write_config(tmp_path, bad)])
+        assert code == 1
+        assert "error" in capsys.readouterr().err
 
 
 def test_search_malformed_json_reports_line(tmp_path, capsys):

@@ -16,6 +16,7 @@ from finsler_billiards import (
     intersect_forward,
 )
 from finsler_billiards.geodesics import _drift_integral, _march_to_boundary
+from finsler_billiards.metrics import _bracketed_root
 
 
 def larmor_center(B, p, direction):
@@ -300,6 +301,30 @@ def test_chord_exit_on_bumpy_ellipsoid(m, bumpy_ellipsoid, rng):
         assert abs(table.phi(hit)) <= 1e-12 * table.scale
         # the crossing is the first one: the chord stays inside before it
         assert all(table.phi(p0 + s * w) < 0.0 for s in np.linspace(0.01, 0.99, 50) * t)
+
+
+def test_chord_exit_takes_few_phi_evaluations():
+    # Newton from the far end of the [s_min, 8 * scale] bracket converges
+    # in about a dozen phi evaluations
+    calls = []
+
+    def phi(x):
+        calls.append(x)
+        return float(x @ x) - 1.0
+
+    table = fb.ConvexTable(phi, lambda x: 2.0 * x, bounding_radius=1.0, dim=2)
+    hit, _ = _march_to_boundary(EuclideanMetric(), table, np.zeros(2), np.array([0.6, 0.8]))
+    assert len(calls) <= 20
+    assert abs(np.linalg.norm(hit) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("f,slope,lo,hi,root", [
+    (lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0, 8.0, np.sqrt(2.0)),
+    # the first Newton step from hi = 10 lands far outside the bracket
+    (lambda x: np.arctan(x - 0.3), lambda x: 1.0 / (1.0 + (x - 0.3) ** 2), -10.0, 10.0, 0.3),
+])
+def test_bracketed_root(f, slope, lo, hi, root):
+    assert abs(_bracketed_root(f, slope, lo, hi, 1e-12) - root) <= 1e-12
 
 
 def test_chord_reports_no_exit_beyond_the_horizon():

@@ -333,6 +333,20 @@ def test_metric_from_spec_round_trip():
         assert metric.spec()["kind"] == spec["kind"]
 
 
+def test_generic_second_order_data_against_magnetic_closed_forms(rng):
+    # the finite-difference _Lvv, _Ly and _Lvy of FinslerMetric against the
+    # closed forms of the same Lagrangian, at indicatrix points as the
+    # geodesic integrator uses them
+    closed = MagneticMetric(0.2)
+    generic = LagrangianMetric(lambda x, v: closed._L(x, v), dim=2)
+    for _ in range(50):
+        x = rng.uniform(-2.0, 2.0, 2)
+        v = closed._unit(x, rng.standard_normal(2))
+        assert np.max(np.abs(generic._Lvv(x, v) - closed._Lvv(x, v))) <= 1e-3
+        assert np.max(np.abs(generic._Ly(x, v) - closed._Ly(x, v))) <= 1e-8
+        assert np.max(np.abs(generic._Lvy(x, v) - closed._Lvy(x, v))) <= 1e-3
+
+
 def test_metric_spec_errors():
     with pytest.raises(InvalidParameters):
         metric_from_spec({"kind": "hyperbolic"})
@@ -340,3 +354,6 @@ def test_metric_spec_errors():
         metric_from_spec({"kind": "minkowski"})
     with pytest.raises(InvalidParameters):
         metric_from_spec({"kind": "riemannian", "tensor": [[1.0, 2.0], [2.0, 1.0]]})
+    for B in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidParameters, match="B must be finite"):
+            metric_from_spec({"kind": "magnetic", "B": B})

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,19 @@ def test_spec_validation_errors():
         ellipsoid_table([1.0])
     with pytest.raises(InvalidParameters):
         ellipsoid_table([1.0, -2.0])
+
+    # each non-finite field is rejected where it enters, by name
+    with pytest.raises(InvalidParameters, match="semi_axes"):
+        table_from_spec(json.loads('{"kind": "ellipsoid", "semi_axes": [1e999, 1.0, 1.2]}'))
+    with pytest.raises(InvalidParameters, match="semi_axes"):
+        ellipsoid_table([1.0, float("nan")])
+    for eps in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParameters, match="eps"):
+            ellipsoid_table([1.0, 1.2], eps=eps)
+    with pytest.raises(InvalidParameters, match="coeffs"):
+        ellipsoid_table([1.0, 1.2], eps=0.01, coeffs=[1.0, float("inf")])
+    with pytest.raises(InvalidParameters, match="bounding_radius"):
+        ConvexTable(lambda x: float(x @ x) - 1.0, lambda x: 2.0 * x, float("inf"), 2)
 
 
 def test_boundary_point_rejects_interior(unit_sphere):
