@@ -19,7 +19,7 @@ from .errors import GrazingRay, InvalidParameters, NoConvergence, _check_int
 from .geodesics import _march_to_boundary
 from .metrics import FinslerMetric
 from .tables import BoundaryPoint, ConvexTable, conormal
-from .vectors import as_components
+from .vectors import _norm, as_components
 
 __all__ = ["BoundaryState", "reflect", "billiard_step", "trace"]
 
@@ -59,7 +59,7 @@ def reflect(metric: FinslerMetric, table: ConvexTable, y: BoundaryPoint, u) -> n
     acc = metric.dual_accuracy
     if abs(metric._dual_norm(x, q) - 1.0) > max(1e-10, 10.0 * acc):
         raise NoConvergence("reflected covector is off the unit dual sphere")
-    res_tol = max(1e-9, 100.0 * acc) * float(np.linalg.norm(Du))
+    res_tol = max(1e-9, 100.0 * acc) * _norm(Du)
     if np.max(np.abs(Du - Dv - t * p)) > res_tol:
         raise NoConvergence("reflection residual exceeded tolerance")
     if abs(metric._L(x, v) - 1.0) > 1e-9:

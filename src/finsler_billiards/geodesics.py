@@ -27,7 +27,7 @@ from .errors import (
 )
 from .metrics import FinslerMetric, MagneticMetric, _bracketed_root
 from .tables import BoundaryPoint, ConvexTable, conormal, orthonormal_complement
-from .vectors import as_components
+from .vectors import _norm, as_components
 
 __all__ = ["GeodesicSegment", "connect", "integrate_geodesic", "intersect_forward"]
 
@@ -85,7 +85,7 @@ def _drift_integral(metric: MagneticMetric, center: np.ndarray, radius: float,
 def _connect_magnetic(metric: MagneticMetric, x: np.ndarray, y: np.ndarray) -> GeodesicSegment:
     R = metric.larmor_radius
     chord = y - x
-    dist = float(np.linalg.norm(chord))
+    dist = _norm(chord)
     h = 0.5 * dist
     if h > R * (1.0 + 1e-12):
         raise ChordTooLongForField(
@@ -120,8 +120,8 @@ def connect(metric: FinslerMetric, x, y) -> GeodesicSegment:
     """
     xa = as_components(x, metric.dim)
     ya = as_components(y, metric.dim)
-    scale = 1.0 + max(float(np.linalg.norm(xa)), float(np.linalg.norm(ya)))
-    if float(np.linalg.norm(ya - xa)) <= 1e-12 * scale:
+    scale = 1.0 + max(_norm(xa), _norm(ya))
+    if _norm(ya - xa) <= 1e-12 * scale:
         raise CoincidentPoints("geodesic endpoints coincide")
     if metric.flat_geodesics:
         u = metric._unit(xa, ya - xa)
@@ -197,7 +197,7 @@ class _FlightPath:
     def __init__(self, metric: FinslerMetric, start: np.ndarray, direction: np.ndarray):
         self.metric = metric
         self.start = start
-        norm = float(np.linalg.norm(direction))
+        norm = _norm(direction)
         if not norm > 0.0:
             raise InvalidParameters("flight direction must be nonzero")
         self.direction = d = direction / norm

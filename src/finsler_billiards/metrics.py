@@ -34,7 +34,7 @@ from .errors import (
     ZeroVector,
 )
 from .tables import orthonormal_complement
-from .vectors import Covector, Vector, as_components
+from .vectors import Covector, Vector, _norm, as_components
 
 __all__ = [
     "FinslerMetric",
@@ -51,7 +51,6 @@ __all__ = [
 INDICATRIX_TOL = 1e-9
 FIGURATRIX_TOL = 1e-9
 _FD_H_REL = 1e-6
-_BRACKET_START = 1e-6
 _BRACKET_CAP = 1e3
 _DROP_XTOL = 1e-12
 _ROOT_MAX_ITER = 100
@@ -122,9 +121,9 @@ def magnetic_indicatrix_params(t: float) -> tuple[float, float, float]:
 
 def _randers_dual_norm(alpha: np.ndarray, q: np.ndarray) -> float:
     """sup of q over the indicatrix of ``|v| + alpha.v`` (closed form, |alpha| < 1)."""
-    t = float(np.linalg.norm(alpha))
+    t = _norm(alpha)
     if t == 0.0:
-        return float(np.linalg.norm(q))
+        return _norm(q)
     one = 1.0 - t * t
     ahat = alpha / t
     qpar = float(q @ ahat)
@@ -134,8 +133,8 @@ def _randers_dual_norm(alpha: np.ndarray, q: np.ndarray) -> float:
 
 def _randers_dual_argmax(alpha: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Indicatrix point maximizing q for the metric ``|v| + alpha.v`` (|alpha| < 1)."""
-    t = float(np.linalg.norm(alpha))
-    qn = float(np.linalg.norm(q))
+    t = _norm(alpha)
+    qn = _norm(q)
     if qn == 0.0:
         raise InvalidParameters("cannot maximize the zero covector")
     if t == 0.0:
@@ -174,13 +173,13 @@ class FinslerMetric:
 
     def _DL(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         # central differences in v; h scales with |v| to keep relative error flat
-        h = _FD_H_REL * float(np.linalg.norm(v))
+        h = _FD_H_REL * _norm(v)
         if h == 0.0:
             raise ZeroVector("fiber derivative at the zero vector")
         return _central_diff(lambda w: self._L(x, w), v, h)
 
     def _unit(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if float(np.linalg.norm(v)) < 1e-14:
+        if _norm(v) < 1e-14:
             raise ZeroVector("cannot normalize a zero direction")
         val = self._L(x, v)
         if not val > 0.0:
@@ -201,7 +200,7 @@ class FinslerMetric:
         The objective ``q.u / L(x, u)`` is 0-homogeneous, so the chart needs
         no renormalization.  Eight deterministic restarts guard chart seams.
         """
-        qn = float(np.linalg.norm(q))
+        qn = _norm(q)
         if qn == 0.0:
             raise InvalidParameters("cannot maximize the zero covector")
         d = q.size
@@ -228,9 +227,9 @@ class FinslerMetric:
         return best_f, self._unit(x, best_u)
 
     def _sphere_newton_max(self, x, q, u0, value, max_iter=60):
-        u = u0 / np.linalg.norm(u0)
+        u = u0 / _norm(u0)
         f = value(u)
-        qn = float(np.linalg.norm(q))
+        qn = _norm(q)
         gtol = 1e-11 * max(1.0, qn)
         h = 1e-6
         for _ in range(max_iter):
@@ -241,7 +240,7 @@ class FinslerMetric:
                 return value(u + s @ W)
 
             g = _central_diff(chart, np.zeros(k), h)
-            if np.linalg.norm(g) <= gtol:
+            if _norm(g) <= gtol:
                 break
             H = np.empty((k, k))
             f0 = f
@@ -261,14 +260,14 @@ class FinslerMetric:
                 step = g
             if float(step @ g) <= 0.0:
                 step = g
-            nstep = np.linalg.norm(step)
+            nstep = _norm(step)
             if nstep > 0.5:
                 step *= 0.5 / nstep
             t = 1.0
             improved = False
             while t > 1e-10:
                 cand = u + t * (step @ W)
-                cand /= np.linalg.norm(cand)
+                cand /= _norm(cand)
                 fc = value(cand)
                 if fc > f:
                     u, f = cand, fc
@@ -286,34 +285,37 @@ class FinslerMetric:
 
         The dual norm along the line is convex in t, equals 1 at t = 0 and
         decreases there (p pairs positively with the incoming direction), so
-        the root is bracketed by doubling and found by ``_bracketed_root``;
-        the derivative of the dual norm at q is its maximizer.
+        the root lies in [0, t_hi] and is found by ``_bracketed_root``; the
+        derivative of the dual norm at q is its maximizer.  The dual norm N
+        is sublinear, so N(Du - t p) >= t N(-p) - N(-Du), which reaches 1 at
+        t_hi = (1 + N(-Du)) / N(-p).  Doubling t_hi is left only for when
+        the generic dual's noise leaves phi(t_hi) <= 0.
         """
 
         def phi(t: float) -> float:
             return self._dual_norm(x, Du - t * p) - 1.0
 
-        t_hi = _BRACKET_START
+        t_lo = 0.0
+        t_hi = (1.0 + self._dual_norm(x, -Du)) / self._dual_norm(x, -p)
         while phi(t_hi) <= 0.0:
-            t_hi *= 2.0
+            t_lo, t_hi = t_hi, 2.0 * t_hi
             if t_hi > _BRACKET_CAP:
                 raise NoConvergence("reflection root bracket exceeded its cap")
-        t_lo = 0.0 if t_hi == _BRACKET_START else t_hi / 2.0
         return _bracketed_root(phi, lambda t: -float(p @ self._dual_argmax(x, Du - t * p)),
                                t_lo, t_hi, _DROP_XTOL)
 
     # -- second-order data for the geodesic integrator --------------------
 
     def _Lvv(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = _central_diff(lambda w: self._DL(x, w), v, _FD_H_REL * float(np.linalg.norm(v)))
+        out = _central_diff(lambda w: self._DL(x, w), v, _FD_H_REL * _norm(v))
         return 0.5 * (out + out.T)
 
     def _Ly(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        h = _FD_H_REL * (1.0 + float(np.linalg.norm(x)))
+        h = _FD_H_REL * (1.0 + _norm(x))
         return _central_diff(lambda y: self._L(y, v), x, h)
 
     def _Lvy(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        h = _FD_H_REL * (1.0 + float(np.linalg.norm(x)))
+        h = _FD_H_REL * (1.0 + _norm(x))
         return _central_diff(lambda y: self._DL(y, v), x, h)
 
     # -- public typed surface ---------------------------------------------
@@ -375,11 +377,11 @@ class _RandersMetric(FinslerMetric):
         raise NotImplementedError
 
     def _L(self, x, v):
-        return float(np.linalg.norm(v) + self.alpha_at(x) @ v)
+        return float(_norm(v) + self.alpha_at(x) @ v)
 
     def _DL(self, x, v):
         a = self.alpha_at(x)  # first, so a too-strong field wins over a zero v
-        n = float(np.linalg.norm(v))
+        n = _norm(v)
         if n == 0.0:
             raise ZeroVector("fiber derivative at the zero vector")
         return v / n + a
@@ -395,7 +397,7 @@ class _RandersMetric(FinslerMetric):
         return 2.0 * float((Du - self.alpha_at(x)) @ p) / float(p @ p)
 
     def _Lvv(self, x, v):
-        n = float(np.linalg.norm(v))
+        n = _norm(v)
         vh = v / n
         return (np.eye(v.size) - np.outer(vh, vh)) / n
 
@@ -491,7 +493,7 @@ class MinkowskiMetric(_RandersMetric):
 
     def __init__(self, alpha):
         a = as_components(alpha)
-        t = float(np.linalg.norm(a))
+        t = _norm(a)
         if t >= 1.0:
             raise FieldTooStrong(f"|alpha| = {t} >= 1 gives a nonpositive Lagrangian")
         self.alpha = a
@@ -535,9 +537,9 @@ class MagneticMetric(_RandersMetric):
         return 1.0 / abs(self.B)
 
     def alpha_at(self, x: np.ndarray) -> np.ndarray:
-        t = 0.5 * abs(self.B) * float(np.linalg.norm(x))
+        t = 0.5 * abs(self.B) * _norm(x)
         if t >= 1.0:
-            raise FieldTooStrong(f"|alpha(x)| = {t} >= 1 at |x| = {np.linalg.norm(x)}")
+            raise FieldTooStrong(f"|alpha(x)| = {t} >= 1 at |x| = {_norm(x)}")
         return 0.5 * self.B * np.array([-x[1], x[0]])
 
     def _Ly(self, x, v):

@@ -38,7 +38,7 @@ from .tables import (
     project_to_boundary,
     random_boundary_point,
 )
-from .vectors import as_components
+from .vectors import _norm, as_components
 
 __all__ = [
     "CyclicPolygon",
@@ -63,8 +63,8 @@ _CONTINUUM_REL = 1e-4
 
 
 def _check_tol(name: str, value) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise InvalidParameters(f"{name} must be finite and > 0, got {value!r}")
+    if isinstance(value, bool) or not (math.isfinite(value) and value > 0.0):
+        raise InvalidParameters(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -134,14 +134,14 @@ def _points_array(points, dim: int | None = None) -> np.ndarray:
     a = np.asarray(points, dtype=float)
     if a.ndim != 2 or a.shape[0] < 2 or (dim is not None and a.shape[1] != dim):
         raise InvalidParameters("expected an (r, d) array of vertex coordinates")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidParameters("coordinates must be finite")
     return a
 
 
 def _check_distinct(pts: np.ndarray, scale: float) -> bool:
     r = pts.shape[0]
-    return not any(np.linalg.norm(pts[(i + 1) % r] - pts[i]) <= _DISTINCT_REL * scale
+    return not any(_norm(pts[(i + 1) % r] - pts[i]) <= _DISTINCT_REL * scale
                    for i in range(r))
 
 
@@ -173,6 +173,24 @@ def length_function(metric: FinslerMetric, polygon) -> float:
     return math.fsum(connect(metric, pts[i], pts[(i + 1) % r]).length for i in range(r))
 
 
+def _covectors(metric: FinslerMetric, pts: np.ndarray, chords) -> tuple[dict, dict]:
+    """Legendre covectors at the ends of the named chords, chord j running j -> j+1.
+
+    Returns two dicts keyed by chord: the departing covector at vertex j and
+    the arriving covector at vertex j+1.
+    """
+    r = pts.shape[0]
+    segs = {j: connect(metric, pts[j], pts[(j + 1) % r]) for j in chords}
+    departing = {j: metric._DL(pts[j], seg.start_tangent) for j, seg in segs.items()}
+    arriving = {j: metric._DL(pts[(j + 1) % r], seg.end_tangent) for j, seg in segs.items()}
+    return departing, arriving
+
+
+def _vertex_row(frame: np.ndarray, arriving: np.ndarray, departing: np.ndarray) -> np.ndarray:
+    """Gradient row of a vertex: its tangent frame applied to arriving - departing."""
+    return frame @ (arriving - departing)
+
+
 def _grad_flat(metric: FinslerMetric, table: ConvexTable, pts: np.ndarray,
                drops=None) -> np.ndarray:
     """Projected gradient of the cyclic length, flattened to r*(d-1).
@@ -181,15 +199,12 @@ def _grad_flat(metric: FinslerMetric, table: ConvexTable, pts: np.ndarray,
     leaving out coordinate axis drops[i] when ``drops`` is given.
     """
     r, d = pts.shape
-    segs = [connect(metric, pts[i], pts[(i + 1) % r]) for i in range(r)]
+    departing, arriving = _covectors(metric, pts, range(r))
     out = np.empty((r, d - 1))
     for i in range(r):
-        u = segs[i - 1].end_tangent
-        v = segs[i].start_tangent
-        cov = metric._DL(pts[i], u) - metric._DL(pts[i], v)
         frame = orthonormal_complement(table._grad(pts[i]),
                                        None if drops is None else drops[i])
-        out[i] = frame @ cov
+        out[i] = _vertex_row(frame, arriving[(i - 1) % r], departing[i])
     return out.ravel()
 
 
@@ -318,11 +333,11 @@ def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
 # multistart refinement
 
 
-def _safe_grad(metric, table, pts, scale, drops=None):
+def _safe_grad(metric, table, pts, scale):
     if not _check_distinct(pts, scale):
         return None
     try:
-        return _grad_flat(metric, table, pts, drops)
+        return _grad_flat(metric, table, pts)
     except FinslerBilliardsError:
         return None
 
@@ -334,26 +349,52 @@ def _jacobian(metric, table, pts, h, scale):
     frames[i][k], the default tangent frame, projected back onto the boundary.
     The probe gradients leave out the same frame axes as the default frames,
     so the frames do not jump between probes where two normal components tie.
+    A probe recomputes only what its moved vertex touches (chords i-1 and i,
+    the covectors at their ends, vertex i's frame and rows i-1, i, i+1) and
+    copies the rest from the base polygon, so each probe gradient equals
+    ``_grad_flat(metric, table, probe, drops)`` bit for bit.
     """
     normals = [table._grad(p) for p in pts]
     drops = [_largest_axis(n) for n in normals]
     frames = [orthonormal_complement(normal, drop) for normal, drop in zip(normals, drops)]
     r, d = pts.shape
+    departing, arriving = {}, {}
+    base = np.empty((r, d - 1))
+    if r > 2:  # for r = 2 both chords end at the moved vertex, so a probe replaces every row
+        try:
+            departing, arriving = _covectors(metric, pts, range(r))
+        except FinslerBilliardsError:
+            return None  # a probe that leaves the failing chord alone would fail the same way
+        for j in range(r):
+            base[j] = _vertex_row(frames[j], arriving[(j - 1) % r], departing[j])
+
+    def probe_grad(i, x):
+        probe = pts.copy()
+        probe[i] = x
+        if not _check_distinct(probe, scale):
+            return None
+        try:
+            dep, arr = _covectors(metric, probe, ((i - 1) % r, i))
+            frame = orthonormal_complement(table._grad(x), drops[i])
+        except FinslerBilliardsError:
+            return None
+        dep, arr = {**departing, **dep}, {**arriving, **arr}
+        out = base.copy()
+        for j in {(i - 1) % r, i, (i + 1) % r}:
+            out[j] = _vertex_row(frame if j == i else frames[j], arr[(j - 1) % r], dep[j])
+        return out.ravel()
+
     n = r * (d - 1)
     J = np.empty((n, n))
     for i in range(r):
         for k in range(d - 1):
             try:
-                plus = pts.copy()
-                plus[i] = project_to_boundary(
-                    table, pts[i] + h * frames[i][k]).position.components
-                minus = pts.copy()
-                minus[i] = project_to_boundary(
-                    table, pts[i] - h * frames[i][k]).position.components
+                plus = project_to_boundary(table, pts[i] + h * frames[i][k]).position.components
+                minus = project_to_boundary(table, pts[i] - h * frames[i][k]).position.components
             except FinslerBilliardsError:
                 return None
-            gp = _safe_grad(metric, table, plus, scale, drops)
-            gm = _safe_grad(metric, table, minus, scale, drops)
+            gp = probe_grad(i, plus)
+            gm = probe_grad(i, minus)
             if gp is None or gm is None:
                 return None
             J[:, i * (d - 1) + k] = (gp - gm) / (2.0 * h)
@@ -380,7 +421,7 @@ def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
     g = _safe_grad(metric, table, pts, scale)
     if g is None:
         return None
-    gn = float(np.linalg.norm(g))
+    gn = _norm(g)
     h = _JAC_H_REL * scale
 
     for _ in range(max_iter):
@@ -391,7 +432,7 @@ def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
             break
         J, frames = jac
         delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
-        dn = float(np.linalg.norm(delta))
+        dn = _norm(delta)
         if dn > 0.5 * scale:
             delta *= 0.5 * scale / dn
         t = 1.0
@@ -404,7 +445,7 @@ def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
                 continue
             gc = _safe_grad(metric, table, cand, scale)
             if gc is not None:
-                gcn = float(np.linalg.norm(gc))
+                gcn = _norm(gc)
                 if gcn < gn:
                     pts, g, gn = cand, gc, gcn
                     accepted = True
@@ -422,7 +463,7 @@ def _random_seed(table, r, rng, scale):
         pts = np.array([
             random_boundary_point(table, rng).position.components for _ in range(r)
         ])
-        dists = [np.linalg.norm(pts[i] - pts[j]) for i in range(r) for j in range(i + 1, r)]
+        dists = [_norm(pts[i] - pts[j]) for i in range(r) for j in range(i + 1, r)]
         if min(dists) >= 0.1 * scale:
             return pts
     return None
@@ -438,6 +479,7 @@ def _trace_seed(metric, table, r, rng, scale):
             w = rng.standard_normal(table.dim)
             if float(w @ n) > 0.0:
                 w = w - 2.0 * float(w @ n) * n
+            # numpy's norm, so a zero w reads NaN and fails in _unit below
             if float(w @ n) / np.linalg.norm(w) > -0.05:
                 continue
             v = metric._unit(y.position.components, w)
@@ -449,7 +491,7 @@ def _trace_seed(metric, table, r, rng, scale):
         except FinslerBilliardsError:
             continue
         candidate = np.array(pts[:r])
-        closure = float(np.linalg.norm(pts[r] - pts[0]))
+        closure = _norm(pts[r] - pts[0])
         if _check_distinct(candidate, scale) and closure < best_closure:
             best, best_closure = candidate, closure
             if closure < 0.2 * scale:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidParameters, NoConvergence
-from .vectors import Covector, Vector, as_components
+from .vectors import Covector, Vector, _norm, as_components
 
 __all__ = [
     "BoundaryPoint",
@@ -115,7 +115,7 @@ class ConvexTable:
         if abs(self.phi(a)) > BOUNDARY_TOL_REL * self.scale:
             raise InvalidParameters("point is not on the boundary to tolerance")
         g = self.grad(a)
-        gn = np.linalg.norm(g)
+        gn = _norm(g)
         if gn == 0.0:
             raise InvalidParameters("gradient vanishes at a boundary point")
         return BoundaryPoint(Vector(a), Vector(g / gn))
@@ -228,7 +228,7 @@ def project_to_boundary(table: ConvexTable, x) -> BoundaryPoint:
     if not abs(f) <= accept:  # also rejects NaN
         raise NoConvergence("projection did not reach boundary tolerance")
     g = table._grad(a)
-    gn = np.linalg.norm(g)
+    gn = _norm(g)
     if gn == 0.0:
         raise InvalidParameters("gradient vanishes at a boundary point")
     return BoundaryPoint(Vector(a), Vector(g / gn))
@@ -236,7 +236,7 @@ def project_to_boundary(table: ConvexTable, x) -> BoundaryPoint:
 
 def _largest_axis(n: np.ndarray) -> int:
     """The axis that orthonormal_complement(n) drops by default."""
-    return int(np.argmax(np.abs(n / np.linalg.norm(n))))
+    return int(np.argmax(np.abs(n / _norm(n))))
 
 
 def orthonormal_complement(n: np.ndarray, drop: int | None = None) -> np.ndarray:
@@ -248,7 +248,7 @@ def orthonormal_complement(n: np.ndarray, drop: int | None = None) -> np.ndarray
     """
     n = np.asarray(n, dtype=float)
     d = n.size
-    nhat = n / np.linalg.norm(n)
+    nhat = n / _norm(n)
     if drop is None:
         drop = int(np.argmax(np.abs(nhat)))
     rows = []
@@ -260,7 +260,7 @@ def orthonormal_complement(n: np.ndarray, drop: int | None = None) -> np.ndarray
         w -= (w @ nhat) * nhat
         for prev in rows:
             w -= (w @ prev) * prev
-        nw = np.linalg.norm(w)
+        nw = _norm(w)
         if nw < 1e-12:
             raise InvalidParameters("degenerate normal direction")
         rows.append(w / nw)
@@ -290,7 +290,7 @@ def random_boundary_point(table: ConvexTable, rng: np.random.Generator) -> Bound
     """Draw a boundary point by projecting a random radial direction."""
     for _ in range(64):
         v = rng.standard_normal(table.dim)
-        nv = np.linalg.norm(v)
+        nv = _norm(v)
         if nv > 1e-9:
             return project_to_boundary(table, v / nv * table.bounding_radius * 0.5)
     raise NoConvergence("could not draw a random boundary point")

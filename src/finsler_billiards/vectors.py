@@ -8,11 +8,22 @@ work on the underlying ``numpy`` arrays via ``components``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidParameters
 
 __all__ = ["Vector", "Covector", "as_components"]
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-d contiguous float array.
+
+    The same dot product and square root that ``np.linalg.norm`` runs on such
+    an array, so the value is bit-identical, without its per-call dispatch.
+    """
+    return math.sqrt(v.dot(v))
 
 
 def as_components(x, dim: int | None = None) -> np.ndarray:
@@ -26,7 +37,7 @@ def as_components(x, dim: int | None = None) -> np.ndarray:
         a = np.asarray(x, dtype=float)
     if a.ndim != 1:
         raise InvalidParameters(f"expected a 1-d coordinate array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidParameters("coordinates must be finite")
     if dim is not None and a.size != dim:
         raise InvalidParameters(f"expected dimension {dim}, got {a.size}")
@@ -42,7 +53,7 @@ class _Coords:
         c = np.array(components, dtype=float)
         if c.ndim != 1 or c.size < 1:
             raise InvalidParameters("components must be a 1-d sequence")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise InvalidParameters("components must be finite")
         c.setflags(write=False)
         object.__setattr__(self, "_c", c)
@@ -111,7 +122,7 @@ class Vector(_Coords):
 
     def norm(self) -> float:
         """Euclidean length."""
-        return float(np.linalg.norm(self._c))
+        return _norm(self._c)
 
     def unit(self) -> "Vector":
         """Euclidean-normalized copy."""

@@ -56,6 +56,42 @@ def test_reflection_law_residual(metric, dim, rng):
         assert np.max(np.abs(v - metric._dual_argmax(x, Du - t_generic * p))) <= 1e-12
 
 
+@pytest.mark.parametrize("metric", [
+    MinkowskiMetric([0.3, 0.1, 0.0]),
+    MinkowskiMetric([-0.6, 0.5, 0.2]),
+    RiemannianMetric(np.diag([4.0, 1.0, 0.5])),
+], ids=["minkowski", "minkowski-strong", "riemannian"])
+def test_drop_bracket_end_is_past_the_root(metric, rng):
+    # the dual norm N is sublinear, so N(Du - t p) >= t N(-p) - N(-Du), which
+    # is 1 at the bracket end t_hi = (1 + N(-Du)) / N(-p)
+    x = np.zeros(3)
+    for _ in range(200):
+        Du, p = rng.standard_normal(3), rng.standard_normal(3)
+        Du /= metric._dual_norm(x, Du)
+        t_hi = (1.0 + metric._dual_norm(x, -Du)) / metric._dual_norm(x, -p)
+        assert metric._dual_norm(x, Du - t_hi * p) - 1.0 >= 0.0
+
+
+def test_generic_drop_takes_few_dual_maximizations(rng, monkeypatch):
+    # doubling the bracket up from 1e-6 took about 34 maximizations per reflection
+    alpha = np.array([0.2, -0.1])
+    metric = LagrangianMetric(lambda x, v: float(np.linalg.norm(v) + alpha @ v), dim=2,
+                              flat_geodesics=True)
+    table = fb.ellipsoid_table([1.0, 1.4])
+    calls = []
+    dual_max = FinslerMetric._dual_max
+
+    def counted(self, x, q):
+        calls.append(1)
+        return dual_max(self, x, q)
+
+    monkeypatch.setattr(FinslerMetric, "_dual_max", counted)
+    for _ in range(20):
+        y, u = random_incoming(metric, table, rng)
+        reflect(metric, table, y, u)
+    assert len(calls) <= 18 * 20
+
+
 def test_magnetic_reflection_equals_mirror(ellipse, rng):
     # drift terms cancel in the cotangent relation, so the outgoing direction
     # is the Euclidean mirror image of the incoming one

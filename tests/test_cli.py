@@ -107,6 +107,15 @@ def test_search_rejects_zero_cluster_tol(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("key", ["grad_tol", "epsilon", "cluster_tol"])
+def test_search_rejects_boolean_tolerance(tmp_path, capsys, key):
+    # true used to run as 1.0 and was written into the report
+    config = dict(DISK_SEARCH, search=dict(DISK_SEARCH["search"], **{key: True}))
+    code = cli.main(["search", "--config", write_config(tmp_path, config)])
+    assert code == 1
+    assert f"{key} must be a finite number > 0, got True" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key,value", [
     ("r", 3.7), ("r", True), ("seeds", 2.9), ("seeds", "20"), ("rng_seed", 0.5),
     ("rng_seed", False), ("max_iter", True), ("max_iter", 60.5),

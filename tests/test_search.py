@@ -8,8 +8,10 @@ from finsler_billiards import (
     BoundaryState,
     EuclideanMetric,
     InvalidParameters,
+    LagrangianMetric,
     MagneticMetric,
     MinkowskiMetric,
+    RiemannianMetric,
     SearchConfig,
     ZeroWinding,
     canonicalize,
@@ -23,7 +25,8 @@ from finsler_billiards import (
     rotation_number,
     trace,
 )
-from finsler_billiards.tables import orthonormal_complement
+from finsler_billiards.tables import _largest_axis, orthonormal_complement
+from finsler_billiards.vectors import _norm
 
 
 def circle_polygon(angles):
@@ -204,6 +207,66 @@ def test_newton_jacobian_continuous_at_frame_tie(unit_circle):
     assert tie == pytest.approx(plain, abs=1e-6)
 
 
+def reference_jacobian(metric, table, pts, h):
+    """The Jacobian loop that recomputes each whole probe polygon's gradient."""
+    normals = [table._grad(p) for p in pts]
+    drops = [_largest_axis(n) for n in normals]
+    frames = [orthonormal_complement(n, drop) for n, drop in zip(normals, drops)]
+    r, d = pts.shape
+    J = np.empty((r * (d - 1), r * (d - 1)))
+    for i in range(r):
+        for k in range(d - 1):
+            plus, minus = pts.copy(), pts.copy()
+            plus[i] = fb.project_to_boundary(table, pts[i] + h * frames[i][k]).position.components
+            minus[i] = fb.project_to_boundary(table, pts[i] - h * frames[i][k]).position.components
+            gp = fb.search._grad_flat(metric, table, plus, drops)
+            gm = fb.search._grad_flat(metric, table, minus, drops)
+            J[:, i * (d - 1) + k] = (gp - gm) / (2.0 * h)
+    return J, frames
+
+
+def cubic_norm(x, v):
+    # a non-ellipsoidal irreversible Minkowski norm, evaluated by the generic path
+    n = np.linalg.norm(v)
+    return float(n + 0.1 * v[0] ** 3 / n**2)
+
+
+JACOBIAN_METRICS = {
+    "euclidean": (lambda: EuclideanMetric(), [1.0, 1.3, 1.7]),
+    "minkowski": (lambda: MinkowskiMetric([0.3, 0.1, -0.2]), [1.0, 1.3, 1.7]),
+    "riemannian": (lambda: RiemannianMetric([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]]),
+                   [1.0, 1.3, 1.7]),
+    "magnetic": (lambda: MagneticMetric(0.3), [1.2, 1.0]),
+    "lagrangian": (lambda: LagrangianMetric(cubic_norm, dim=3, flat_geodesics=True),
+                   [1.0, 1.3, 1.7]),
+}
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+@pytest.mark.parametrize("kind", sorted(JACOBIAN_METRICS))
+def test_jacobian_probes_match_whole_polygon_gradients(kind, r, rng):
+    # each probe recomputes only the chords and frame its vertex touches
+    make_metric, semi_axes = JACOBIAN_METRICS[kind]
+    metric = make_metric()
+    table = fb.ellipsoid_table(semi_axes, eps=0.02)
+    h = 1e-6 * table.scale
+    for _ in range(3):
+        pts = random_polygon(table, r, rng)
+        J, frames = fb.search._jacobian(metric, table, pts, h, table.scale)
+        J_ref, frames_ref = reference_jacobian(metric, table, pts, h)
+        assert np.array_equal(J, J_ref)
+        assert all(np.array_equal(a, b) for a, b in zip(frames, frames_ref))
+
+
+def test_norm_matches_numpy_bit_for_bit(rng):
+    vectors = [np.zeros(n) for n in range(1, 7)] + [np.array([-0.0]), np.array([0.0, -0.0, 0.0])]
+    for _ in range(3000):
+        n = int(rng.integers(1, 7))
+        vectors.append(rng.standard_normal(n) * 10.0 ** rng.uniform(-150, 150, n))
+    for v in vectors:
+        assert np.float64(_norm(v)).tobytes() == np.linalg.norm(v).tobytes()
+
+
 def test_morse_index_rejects_coincident_vertices(unit_circle):
     with pytest.raises(InvalidParameters):
         morse_index(EuclideanMetric(), unit_circle, circle_polygon([0, 0, 180]))
@@ -287,6 +350,7 @@ def test_period_validation(unit_circle):
     ("seeds", 0), ("seeds", -3), ("max_iter", 0), ("grad_tol", -1.0),
     ("cluster_tol", 0.0), ("epsilon", 0.0), ("metric_dim", 3),
     ("seeds", 2.5), ("seeds", True), ("max_iter", 2.5), ("rng_seed", -1), ("rng_seed", 1.5),
+    ("grad_tol", True), ("epsilon", True), ("cluster_tol", True),
 ])
 def test_bad_search_parameters_rejected_where_they_enter(field, value, ellipse, monkeypatch):
     def no_seeding(*args):
@@ -307,9 +371,14 @@ def test_bad_search_parameters_rejected_where_they_enter(field, value, ellipse, 
     lambda t, p: morse_index(EuclideanMetric(), t, p, eig_tol=-1.0),
     lambda t, p: morse_index(EuclideanMetric(), t, p, eig_tol=float("nan")),
     lambda t, p: canonicalize(p, 0.0),
-], ids=["r-fraction", "eig_tol-negative", "eig_tol-nan", "cluster_tol-zero"])
+    lambda t, p: morse_index(EuclideanMetric(), t, p, eig_tol=True),
+    lambda t, p: canonicalize(p, True),
+    lambda t, p: in_g_epsilon(make_polygon(EuclideanMetric(), t, p), True),
+], ids=["r-fraction", "eig_tol-negative", "eig_tol-nan", "cluster_tol-zero",
+        "eig_tol-bool", "cluster_tol-bool", "epsilon-bool"])
 def test_bad_function_arguments_rejected_where_they_enter(call, unit_circle, monkeypatch):
-    # a negative or NaN eig_tol would miscount the index instead of raising
+    # a negative or NaN eig_tol would miscount the index instead of raising;
+    # True would run as 1.0
     def no_seeding(*args):
         raise AssertionError("a seed was drawn before the parameters were checked")
 
