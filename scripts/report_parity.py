@@ -7,13 +7,12 @@ compares each pair of reports:
 - isolated classes are matched one to one by cyclic vertex distance
   (``search._zr_distance`` within the report's ``cluster_tol``), not by list
   position, since classes whose lengths tie within float noise may swap order;
-  matched classes must agree in index, degeneracy, flags, rotation number and
-  multiplicity;
-- ``continuum-suspect`` classes are sample points of a critical manifold, and
-  where on it a seed lands is set by rounding noise in the singular Newton
-  direction, so they are compared per family: the same index, degeneracy,
-  flags, rotation number and critical value (within 1e-7), reached by the same
-  number of seeds.
+- ``continuum-suspect`` records, one per critical family, are matched one to
+  one by index, degeneracy, flags, rotation number and critical value (within
+  1e-7), not by vertices, since the representative can be any point of the
+  family's critical manifold;
+- matched records must agree in index, degeneracy, flags, rotation number and
+  multiplicity (the number of seeds that reached the class or family).
 
 Prints the largest vertex and lambda deviations and exits 1 on any mismatch:
 
@@ -35,68 +34,47 @@ _CLASS_FIELDS = ("index", "degeneracy", "flags", "rotation_number", "multiplicit
 _REPORT_FIELDS = ("config", "bound", "bound_check")
 
 
-def _families(orbits: list) -> list:
-    """[profile, lambdas, seeds] per profile and critical value, by ascending lambda."""
-    families = []
-    for orbit in sorted(orbits, key=lambda o: o["lambda"]):
-        profile = [orbit[key] for key in _CLASS_FIELDS[:-1]]
-        last = next((f for f in reversed(families) if f[0] == profile), None)
-        if last is not None and orbit["lambda"] - last[1][-1] <= LAMBDA_TOL:
-            last[1].append(orbit["lambda"])
-            last[2] += orbit["multiplicity"]
-        else:
-            families.append([profile, [orbit["lambda"]], orbit["multiplicity"]])
-    return families
+def _distance(a: dict, b: dict) -> float:
+    """Matching distance of two records.
+
+    The cyclic vertex distance of two isolated classes, the lambda gap of two
+    family records of the same profile, infinite otherwise.
+    """
+    from finsler_billiards.search import _zr_distance
+
+    if "continuum-suspect" not in a["flags"] + b["flags"]:
+        return _zr_distance(np.array(a["vertices"]), np.array(b["vertices"]))
+    if any(a[key] != b[key] for key in _CLASS_FIELDS[:-1]):
+        return np.inf
+    return abs(a["lambda"] - b["lambda"])
 
 
 def compare_reports(old: dict, new: dict) -> tuple[list[str], float, float]:
     """Problems found, largest vertex deviation and largest lambda deviation.
 
-    Each isolated class of ``old`` is matched to the nearest unmatched one of
-    ``new`` within the cluster tolerance of ``old``'s config, and each family
-    of continuum-suspect classes to the ``new`` family of the same profile
-    whose critical value lies within LAMBDA_TOL.
+    Each record of ``old`` is matched to the nearest unmatched one of ``new``
+    by ``_distance``: an isolated class within the cluster tolerance of
+    ``old``'s config, a family record within LAMBDA_TOL.
     """
-    from finsler_billiards.search import _zr_distance
-
     problems = [f"{key}: {old.get(key)!r} != {new.get(key)!r}"
                 for key in _REPORT_FIELDS if old.get(key) != new.get(key)]
     tol = old["config"]["search"]["cluster_tol"]
-    isolated = [[o for o in r["orbits"] if "continuum-suspect" not in o["flags"]]
-                for r in (old, new)]
-    continua = [[o for o in r["orbits"] if "continuum-suspect" in o["flags"]]
-                for r in (old, new)]
-    unmatched = list(range(len(isolated[1])))
+    unmatched = list(new["orbits"])
     max_vertex = max_lambda = 0.0
-    for orbit in isolated[0]:
-        pts = np.array(orbit["vertices"])
-        dists = [_zr_distance(pts, np.array(isolated[1][j]["vertices"])) for j in unmatched]
-        if not dists or min(dists) > tol:
+    for orbit in old["orbits"]:
+        family = "continuum-suspect" in orbit["flags"]
+        dists = [_distance(orbit, other) for other in unmatched]
+        if not dists or min(dists) > (LAMBDA_TOL if family else tol):
             problems.append(f"class (lambda {orbit['lambda']!r}) has no match")
             continue
         k = int(np.argmin(dists))
-        match = isolated[1][unmatched.pop(k)]
-        max_vertex = max(max_vertex, dists[k])
+        match = unmatched.pop(k)
+        if not family:
+            max_vertex = max(max_vertex, dists[k])
         max_lambda = max(max_lambda, abs(orbit["lambda"] - match["lambda"]))
         problems += [f"class (lambda {orbit['lambda']!r}): {key} {orbit[key]!r} != {match[key]!r}"
                      for key in _CLASS_FIELDS if orbit[key] != match[key]]
-    problems += [f"new class (lambda {isolated[1][j]['lambda']!r}) has no match"
-                 for j in unmatched]
-
-    new_families = _families(continua[1])
-    for profile, lambdas, seeds in _families(continua[0]):
-        match = next((f for f in new_families if f[0] == profile
-                      and abs(f[1][0] - lambdas[0]) <= LAMBDA_TOL), None)
-        if match is None:
-            problems.append(f"continuum {profile} at lambda {lambdas[0]!r} has no match")
-            continue
-        new_families.remove(match)
-        max_lambda = max(max_lambda, max(lambdas + match[1]) - min(lambdas + match[1]))
-        if seeds != match[2]:
-            problems.append(f"continuum {profile} at lambda {lambdas[0]!r}: "
-                            f"{seeds} seeds != {match[2]}")
-    problems += [f"new continuum {profile} at lambda {lambdas[0]!r} has no match"
-                 for profile, lambdas, _ in new_families]
+    problems += [f"new class (lambda {orbit['lambda']!r}) has no match" for orbit in unmatched]
     return problems, max_vertex, max_lambda
 
 

@@ -256,9 +256,11 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
     if bracket is None:
         raise NoExit("no boundary crossing within the search horizon")
 
-    s_hit = _bracketed_root(lambda s: table._phi(path.point(s)),
-                            lambda s: float(table._grad(path.point(s)) @ path.tangent(s)),
-                            *bracket, 1e-14 * scale)
+    def phi(s: float) -> tuple[float, float]:
+        x = path.point(s)
+        return table._phi(x), float(table._grad(x) @ path.tangent(s))
+
+    s_hit = _bracketed_root(phi, *bracket, 1e-14 * scale)
     p = path.point(s_hit)
     if abs(table._phi(p)) > 1e-10 * scale:
         raise NoConvergence("boundary crossing did not converge to tolerance")

@@ -32,6 +32,7 @@ from .errors import (
     NotOnFiguratrix,
     NotOnIndicatrix,
     ZeroVector,
+    _check_int,
 )
 from .tables import orthonormal_complement
 from .vectors import Covector, Vector, _norm, as_components
@@ -69,26 +70,26 @@ def _central_diff(f, y: np.ndarray, h: float) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _bracketed_root(f, slope, lo: float, hi: float, xtol: float) -> float:
+def _bracketed_root(f, lo: float, hi: float, xtol: float) -> float:
     """Root of f in [lo, hi], where f(lo) <= 0 < f(hi), by safeguarded Newton.
 
-    Newton starts at hi; for a convex f, as along a chord through a convex
-    table or for the reflection drop, it descends monotonically onto the root.
-    Each iterate shrinks the bracket by the sign of f there, and a step that
-    leaves the bracket is replaced by its midpoint.  Stops when a Newton
-    step is at most xtol, the bracket is at most 2 xtol wide, or f is exactly
-    0; the caller checks the residual it needs.
+    ``f(x)`` returns the value and the slope of f at x.  Newton starts at hi;
+    for a convex f, as along a chord through a convex table or for the
+    reflection drop, it descends monotonically onto the root.  Each iterate
+    shrinks the bracket by the sign of f there, and a step that leaves the
+    bracket is replaced by its midpoint.  Stops when a Newton step is at most
+    xtol, the bracket is at most 2 xtol wide, or f is exactly 0; the caller
+    checks the residual it needs.
     """
     x = hi
     for _ in range(_ROOT_MAX_ITER):
-        fx = f(x)
+        fx, d = f(x)
         if fx == 0.0:
             return x
         if fx > 0.0:
             hi = x
         else:
             lo = x
-        d = slope(x)
         step = fx / d if d != 0.0 else math.inf
         if abs(step) <= xtol:
             return x - step
@@ -286,23 +287,25 @@ class FinslerMetric:
         The dual norm along the line is convex in t, equals 1 at t = 0 and
         decreases there (p pairs positively with the incoming direction), so
         the root lies in [0, t_hi] and is found by ``_bracketed_root``; the
-        derivative of the dual norm at q is its maximizer.  The dual norm N
-        is sublinear, so N(Du - t p) >= t N(-p) - N(-Du), which reaches 1 at
-        t_hi = (1 + N(-Du)) / N(-p).  Doubling t_hi is left only for when
-        the generic dual's noise leaves phi(t_hi) <= 0.
+        derivative of the dual norm at q is its maximizer, so one ``_dual_max``
+        gives both per iterate.  A metric with closed-form duals overrides
+        this method, as every built-in does.  The dual norm N is sublinear, so
+        N(Du - t p) >= t N(-p) - N(-Du), which reaches 1 at
+        t_hi = (1 + N(-Du)) / N(-p).  Doubling t_hi is left only for when the
+        generic dual's noise leaves phi(t_hi) <= 0.
         """
 
-        def phi(t: float) -> float:
-            return self._dual_norm(x, Du - t * p) - 1.0
+        def phi(t: float) -> tuple[float, float]:
+            value, u = self._dual_max(x, Du - t * p)
+            return value - 1.0, -float(p @ u)
 
         t_lo = 0.0
         t_hi = (1.0 + self._dual_norm(x, -Du)) / self._dual_norm(x, -p)
-        while phi(t_hi) <= 0.0:
+        while phi(t_hi)[0] <= 0.0:
             t_lo, t_hi = t_hi, 2.0 * t_hi
             if t_hi > _BRACKET_CAP:
                 raise NoConvergence("reflection root bracket exceeded its cap")
-        return _bracketed_root(phi, lambda t: -float(p @ self._dual_argmax(x, Du - t * p)),
-                               t_lo, t_hi, _DROP_XTOL)
+        return _bracketed_root(phi, t_lo, t_hi, _DROP_XTOL)
 
     # -- second-order data for the geodesic integrator --------------------
 
@@ -416,6 +419,8 @@ class EuclideanMetric(_RandersMetric):
     kind = "euclidean"
 
     def __init__(self, dim: int | None = None):
+        if dim is not None:
+            _check_int("metric dimension", dim, 2)
         self.dim = dim
 
     def alpha_at(self, x):
@@ -562,6 +567,7 @@ class LagrangianMetric(FinslerMetric):
 
     def __init__(self, lagrangian, dim: int, flat_geodesics: bool = False,
                  reversible: bool = False, kind: str = "custom"):
+        _check_int("metric dimension", dim, 2)
         self._func = lagrangian
         self.dim = int(dim)
         self.flat_geodesics = bool(flat_geodesics)

@@ -15,7 +15,7 @@ and guards against collapsed polygons with the edge-product threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,8 +58,12 @@ __all__ = [
 _DISTINCT_REL = 1e-8
 _MIN_EDGE_REL = 1e-4
 _JAC_H_REL = 1e-6
+# Newton's lstsq cutoff: J's central differences carry rounding noise of about eps /
+# _JAC_H_REL = 2e-10 relative to |J|, so smaller singular values (a critical manifold's
+# null direction) are noise; 1e-8 sits 50x above that and h^2 truncation (1e-12).
+_NEWTON_RCOND = 1e-8
 _EIG_TOL_REL = 1e-6
-_CONTINUUM_REL = 1e-4
+_FAMILY_LAMBDA_REL = 1e-7  # a critical family has one critical value
 
 
 def _check_tol(name: str, value) -> None:
@@ -240,22 +244,40 @@ def _group(items, tol):
 
     Items, in order, join the first group whose representative is within tol
     modulo cyclic relabeling, or start one; counts add and a strictly lower
-    residual replaces the representative.  Returns groups and absorbed flags.
+    residual replaces the representative.
     """
-    groups, absorbed = [], []
+    groups = []
     for pts, gn, poly, count in items:
         near = (np.flatnonzero(_zr_distance(np.array([g[0] for g in groups]), pts) <= tol)
                 if groups else [])
         if len(near) == 0:
             groups.append([pts, gn, poly, count])
-            absorbed.append(False)
             continue
         g = groups[near[0]]
-        absorbed[near[0]] = True
         g[3] += count
         if gn < g[1]:
             g[0], g[1], g[2] = pts, gn, poly
-    return groups, absorbed
+    return groups
+
+
+def _merge_families(records, lambda_tol):
+    """One record per critical family, by ``_group``'s rule.
+
+    A degenerate record joins the first family of its index, degeneracy and
+    rotation number whose representative's lambda is within lambda_tol.
+    """
+    families = []
+    for rec in records:
+        for j, f in enumerate(families):
+            if (rec.degeneracy > 0 and (f.morse_index, f.degeneracy, f.rotation_number)
+                    == (rec.morse_index, rec.degeneracy, rec.rotation_number)
+                    and abs(f.polygon.lambda_value - rec.polygon.lambda_value) <= lambda_tol):
+                rep = min(f, rec, key=lambda g: g.residual)  # the earlier one on a tie
+                families[j] = replace(rep, multiplicity=f.multiplicity + rec.multiplicity)
+                break
+        else:
+            families.append(rec)
+    return families
 
 
 def canonicalize(polygon, cluster_tol: float) -> tuple:
@@ -431,7 +453,7 @@ def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
         if jac is None:
             break
         J, frames = jac
-        delta, *_ = np.linalg.lstsq(J, -g, rcond=None)
+        delta, *_ = np.linalg.lstsq(J, -g, rcond=_NEWTON_RCOND)
         dn = _norm(delta)
         if dn > 0.5 * scale:
             delta *= 0.5 * scale / dn
@@ -505,9 +527,9 @@ def find_critical(metric: FinslerMetric, table: ConvexTable, r: int,
 
     Seeds alternate between random spaced r-tuples and near-closing billiard
     traces.  Converged polygons are filtered by the edge-product and minimum
-    edge guards, deduplicated modulo cyclic relabeling, merged across the
-    continuum radius (merged or Hessian-degenerate classes are flagged
-    ``continuum-suspect``), and returned sorted by cyclic length.
+    edge guards and deduplicated modulo cyclic relabeling.  Hessian-degenerate
+    classes are flagged ``continuum-suspect`` and reported once per critical
+    family (see ``_merge_families``); records are sorted by cyclic length.
     """
     _check_int("period r", r, 2)
     if metric.dim is not None and metric.dim != table.dim:
@@ -550,15 +572,12 @@ def find_critical(metric: FinslerMetric, table: ConvexTable, r: int,
             continue
         polygons.append((pts, gn, poly, 1))
 
-    # classes modulo cyclic relabeling, then merged across the continuum radius
     cluster_tol = params["cluster_tol"]
-    classes, _ = _group(polygons, cluster_tol)
-    survivors, merged = _group(classes, _CONTINUUM_REL * scale)
     records = []
-    for (pts, gn, poly, count), was_merged in zip(survivors, merged):
+    for pts, gn, poly, count in _group(polygons, cluster_tol):
         flags = []
         index, degeneracy = morse_index(metric, table, poly)
-        if was_merged or degeneracy > 0:
+        if degeneracy > 0:
             flags.append("continuum-suspect")
         if any(np.max(np.abs(pts - np.roll(pts, -k, axis=0))) <= cluster_tol
                for k in range(1, poly.r) if poly.r % k == 0):
@@ -581,6 +600,7 @@ def find_critical(metric: FinslerMetric, table: ConvexTable, r: int,
             flags=tuple(flags),
             multiplicity=count,
         ))
+    records = _merge_families(records, _FAMILY_LAMBDA_REL * scale)
     records.sort(key=lambda rec: (rec.polygon.lambda_value, rec.canonical_key))
     return records
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameters, NoConvergence
+from .errors import InvalidParameters, NoConvergence, _check_int
 from .vectors import Covector, Vector, _norm, as_components
 
 __all__ = [
@@ -74,8 +74,7 @@ class ConvexTable:
 
     def __init__(self, phi: Callable, grad_phi: Callable, bounding_radius: float,
                  dim: int, spec: dict | None = None):
-        if dim < 2:
-            raise InvalidParameters("table dimension must be >= 2")
+        _check_int("table dimension", dim, 2)
         if not (bounding_radius > 0 and math.isfinite(bounding_radius)):
             raise InvalidParameters(
                 f"bounding_radius must be finite and positive, got {bounding_radius!r}")

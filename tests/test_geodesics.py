@@ -318,13 +318,13 @@ def test_chord_exit_takes_few_phi_evaluations():
     assert abs(np.linalg.norm(hit) - 1.0) <= 1e-15
 
 
-@pytest.mark.parametrize("f,slope,lo,hi,root", [
-    (lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0, 8.0, np.sqrt(2.0)),
+@pytest.mark.parametrize("f,lo,hi,root", [
+    (lambda x: (x * x - 2.0, 2.0 * x), 0.0, 8.0, np.sqrt(2.0)),
     # the first Newton step from hi = 10 lands far outside the bracket
-    (lambda x: np.arctan(x - 0.3), lambda x: 1.0 / (1.0 + (x - 0.3) ** 2), -10.0, 10.0, 0.3),
+    (lambda x: (np.arctan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)), -10.0, 10.0, 0.3),
 ])
-def test_bracketed_root(f, slope, lo, hi, root):
-    assert abs(_bracketed_root(f, slope, lo, hi, 1e-12) - root) <= 1e-12
+def test_bracketed_root(f, lo, hi, root):
+    assert abs(_bracketed_root(f, lo, hi, 1e-12) - root) <= 1e-12
 
 
 def test_chord_reports_no_exit_beyond_the_horizon():

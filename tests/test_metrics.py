@@ -347,6 +347,26 @@ def test_generic_second_order_data_against_magnetic_closed_forms(rng):
         assert np.max(np.abs(generic._Lvy(x, v) - closed._Lvy(x, v))) <= 1e-3
 
 
+def _circle_table(dim):
+    return fb.ConvexTable(lambda x: float(x @ x) - 1.0, lambda x: 2.0 * x,
+                          bounding_radius=1.0, dim=dim)
+
+
+@pytest.mark.parametrize("build, dim", [
+    (_circle_table, 2.0), (_circle_table, "3"), (_circle_table, True), (_circle_table, 1),
+    (lambda dim: LagrangianMetric(lambda x, v: float(np.linalg.norm(v)), dim=dim), 2.7),
+    (lambda dim: LagrangianMetric(lambda x, v: float(np.linalg.norm(v)), dim=dim), True),
+    (lambda dim: metric_from_spec({"kind": "euclidean", "dim": dim}), "x"),
+    (lambda dim: metric_from_spec({"kind": "euclidean", "dim": dim}), 2.5),
+], ids=["table-float", "table-str", "table-bool", "table-1", "lagrangian-fraction",
+        "lagrangian-bool", "euclidean-spec-str", "euclidean-spec-fraction"])
+def test_constructors_reject_bad_dimensions(build, dim):
+    # 2.0 and "3" raised a raw TypeError, 2.7 and True were truncated to 2 and 1,
+    # and "x" was kept as the metric's dimension
+    with pytest.raises(InvalidParameters, match="dimension must be an integer >= 2"):
+        build(dim)
+
+
 def test_metric_spec_errors():
     with pytest.raises(InvalidParameters):
         metric_from_spec({"kind": "hyperbolic"})

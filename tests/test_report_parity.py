@@ -69,31 +69,36 @@ def test_changed_class_fails(edit, expected):
 
 
 def _disk(offsets, multiplicities):
-    """Equilateral triangles on the disk's critical continuum."""
+    """One record per family of equilateral triangles on the disk, at rotation numbers 1, 2."""
     lam = 3.0 * np.sqrt(3.0)
-    orbits = [_orbit(a + np.array([0.0, 2.0, 4.0]) * np.pi / 3.0, 2, lam + 1e-15 * k, 1,
-                     ["continuum-suspect"], m)
-              for k, (a, m) in enumerate(zip(offsets, multiplicities))]
+    orbits = []
+    for rot, (a, m) in enumerate(zip(offsets, multiplicities), start=1):
+        turn = (-1.0) ** (rot + 1) * np.array([0.0, 2.0, 4.0]) * np.pi / 3.0
+        orbits.append(dict(_orbit(a + turn, 2, lam + 1e-15 * rot, 1, ["continuum-suspect"], m),
+                           rotation_number=rot))
     return dict(REPORT, orbits=orbits, classes=len(orbits),
-                classes_by_rotation={"1": len(orbits)})
+                classes_by_rotation={str(o["rotation_number"]): 1 for o in orbits})
 
 
 def test_continuum_compared_per_family():
-    # seeds land elsewhere on the continuum and two of them merge; the family
-    # keeps its profile, critical value and seed count
-    old = _disk([0.1, 0.7, 1.3], [1, 1, 1])
-    problems, _, max_lambda = load_parity().compare_reports(old, _disk([0.4, 1.9], [2, 1]))
+    # the representative can be any point of the family's critical manifold,
+    # so records match by profile and critical value, not by vertices
+    old = _disk([0.1, 0.7], [70, 50])
+    new = _disk([1.3, 2.9], [70, 50])
+    problems, max_vertex, max_lambda = load_parity().compare_reports(old, new)
     assert problems == []
+    assert max_vertex == 0.0
     assert max_lambda <= 3e-15
 
 
 @pytest.mark.parametrize("edit,expected", [
-    (lambda new: new["orbits"][0].update(multiplicity=1), "3 seeds != 2"),
+    (lambda new: new["orbits"][0].update(multiplicity=69), "multiplicity 70 != 69"),
     (lambda new: new["orbits"][1].update(index=1), "has no match"),
     (lambda new: new["orbits"][1].update(**{"lambda": 5.3}), "has no match"),
-], ids=["seeds", "index", "critical-value"])
+    (lambda new: new["orbits"].pop(1), "has no match"),
+], ids=["seeds", "index", "critical-value", "missing-family"])
 def test_changed_continuum_fails(edit, expected):
-    new = _disk([0.4, 1.9], [2, 1])
+    new = _disk([1.3, 2.9], [70, 50])
     edit(new)
-    problems, _, _ = load_parity().compare_reports(_disk([0.1, 0.7, 1.3], [1, 1, 1]), new)
+    problems, _, _ = load_parity().compare_reports(_disk([0.1, 0.7], [70, 50]), new)
     assert any(expected in line for line in problems), problems

@@ -276,13 +276,37 @@ def test_morse_index_rejects_coincident_vertices(unit_circle):
 # the multistart search
 
 
-def test_disk_search_finds_the_continuum(unit_circle):
+def test_disk_search_finds_the_continuum(unit_circle, monkeypatch):
+    # one record per Morse-Bott family: the rotated equilateral triangles of
+    # each rotation number, reached by every converged seed
+    refine, converged = fb.search._refine, []
+
+    def counted(*args):
+        res = refine(*args)
+        converged.append(res is not None)
+        return res
+
+    monkeypatch.setattr(fb.search, "_refine", counted)
     recs = find_critical(EuclideanMetric(), unit_circle, 3,
                          SearchConfig(seeds=60, rng_seed=0))
-    assert recs
+    assert sorted(rec.rotation_number for rec in recs) == [1, 2]
     for rec in recs:
         assert rec.polygon.lambda_value == pytest.approx(3.0 * np.sqrt(3.0), abs=1e-7)
         assert "continuum-suspect" in rec.flags
+        assert (rec.morse_index, rec.degeneracy) == (2, 1)
+    assert sum(rec.multiplicity for rec in recs) == sum(converged) > 0
+
+
+def test_newton_is_continuous_on_the_disk_continuum(unit_circle, rng):
+    # the Newton step leaves out the Jacobian's null direction, so a seed
+    # moved by 1e-15 lands at the same triangle of the rotational continuum
+    m = EuclideanMetric()
+    for _ in range(10):
+        seed = fb.search._random_seed(unit_circle, 3, rng, 1.0)
+        nudged = seed + 1e-15 * rng.standard_normal(seed.shape)
+        a, _ = fb.search._refine(m, unit_circle, seed, 1e-9, 1.0, 60)
+        b, _ = fb.search._refine(m, unit_circle, nudged, 1e-9, 1.0, 60)
+        assert np.max(np.abs(a - b)) <= 1e-8
 
 
 def test_search_records_satisfy_guards(bumpy_ellipsoid):
@@ -414,11 +438,11 @@ def test_polygon_arguments_checked_where_they_enter(call, bad, unit_circle):
         call(EuclideanMetric(), unit_circle, BAD_POLYGONS[bad])
 
 
-def test_grouping_rule_pins_first_match_and_residual_swaps():
-    """Both grouping passes of find_critical on a hand-built list.
+def test_grouping_rule_pins_first_match_and_residual_swaps(unit_circle):
+    """The dedup pass and the family merge of find_critical on hand-built lists.
 
-    The expected groups, counts and flags are what the two loops this helper
-    replaced gave on the same list.
+    The expected groups and counts of the dedup pass are what the two loops
+    its helper replaced gave on the same list.
     """
     A = np.array([[1.0, 0.0], [-0.5, 0.8660254037844386], [-0.5, -0.8660254037844386]])
     C = np.array([[0.0, 1.0], [0.6, -0.8], [-0.6, -0.8]])
@@ -427,17 +451,41 @@ def test_grouping_rule_pins_first_match_and_residual_swaps():
         (A, 3e-10, "A", 1),
         (np.roll(A + 1e-6 * e, 1, axis=0), 1e-10, "A-lower", 1),  # lower residual: new rep
         (A + 2e-6 * e, 1e-10, "A-tie", 1),                         # tie: the earlier rep stays
-        (A + 5e-5 * e, 5e-11, "B", 1),           # beyond cluster_tol, inside the continuum radius
+        (A + 5e-5 * e, 5e-11, "B", 1),                             # beyond cluster_tol
         (np.roll(C, 2, axis=0), 4e-10, "C", 1),  # distant
         (np.roll(A + 5.1e-5 * e, 2, axis=0), 6e-11, "B-dup", 1),
     ]
-    classes, _ = fb.search._group(items, 1e-5)
+    classes = fb.search._group(items, 1e-5)
     assert [(g[2], g[3], g[1]) for g in classes] == [
         ("A-lower", 3, 1e-10), ("B", 2, 5e-11), ("C", 1, 4e-10)]
-    survivors, merged = fb.search._group(classes, fb.search._CONTINUUM_REL)
-    assert [(g[2], g[3], g[1], m) for g, m in zip(survivors, merged)] == [
-        ("B", 5, 5e-11, True), ("C", 1, 4e-10, False)]
-    assert survivors[0][0] is items[3][0]
     stack = np.array([item[0] for item in items])
     assert list(fb.search._zr_distance(stack, items[1][0])) == [
         fb.search._zr_distance(a, items[1][0]) for a in stack]
+
+    # family merge: degenerate records of one (index, degeneracy, rotation
+    # number) whose lambdas agree within the tolerance become one record
+    m = EuclideanMetric()
+
+    def record(name, angles, residual, degeneracy=1, rot=1, count=1):
+        return fb.search.OrbitRecord(
+            polygon=make_polygon(m, unit_circle, circle_polygon(angles)), residual=residual,
+            morse_index=2, degeneracy=degeneracy, rotation_number=rot, canonical_key=(name,),
+            flags=("continuum-suspect",) if degeneracy else (), multiplicity=count)
+
+    records = [
+        record("P", [0, 120, 240], 3e-16, count=2),
+        record("P-lower", [17, 137, 257], 1e-16),      # lower residual: new representative
+        record("Q", [0, 240, 120], 2e-16, rot=2),      # another rotation number
+        record("P-tie", [40, 160, 280], 1e-16),        # tie: the earlier representative stays
+        record("R", [0, 100, 230], 1e-16),             # another critical value
+        record("S", [5, 125, 245], 5e-17, degeneracy=0),   # isolated: never merged
+        record("S-twin", [5, 125, 245], 5e-17, degeneracy=0),
+    ]
+    lams = [rec.polygon.lambda_value for rec in records]
+    equilateral = lams[:4] + lams[5:]
+    assert max(equilateral) - min(equilateral) <= 1e-14 and lams[4] < min(equilateral) - 1e-7
+    families = fb.search._merge_families(records, 1e-7)
+    assert [(f.canonical_key[0], f.multiplicity, f.residual) for f in families] == [
+        ("P-lower", 4, 1e-16), ("Q", 1, 2e-16), ("R", 1, 1e-16),
+        ("S", 1, 5e-17), ("S-twin", 1, 5e-17)]
+    assert families[0].polygon is records[1].polygon
