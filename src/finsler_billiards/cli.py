@@ -220,8 +220,8 @@ def run_trace(config: dict) -> tuple[dict, int]:
                 raise InvalidParameters(f"geodesic trace requires '{key}'")
         x0 = as_components(tr["start"], table.dim)
         v0 = metric._unit(x0, as_components(tr["direction"], table.dim))
-        dt = float(tr["dt"])
-        pos, vel = integrate_geodesic(metric, x0, v0, float(tr["t_max"]), dt)
+        pos, vel = integrate_geodesic(metric, x0, v0, tr["t_max"], tr["dt"])
+        dt = float(tr["dt"])  # a number: integrate_geodesic checked it
         payload = {
             "config": resolved,
             "path": [

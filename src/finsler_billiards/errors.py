@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer argument check."""
+"""Exception types shared across the package, and the integer and number argument checks."""
 
 import numbers
 
@@ -67,3 +67,10 @@ def _check_int(name: str, value, minimum: int) -> None:
     """Reject a bool, a non-integer or a value below minimum with InvalidParameters."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise InvalidParameters(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_real(name: str, value) -> float:
+    """The value as a float; a bool or a non-number raises InvalidParameters."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameters(f"{name} must be a number, got {value!r}")
+    return float(value)

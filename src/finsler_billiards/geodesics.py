@@ -24,6 +24,7 @@ from .errors import (
     NoExit,
     NotOnIndicatrix,
     SingularMass,
+    _check_real,
 )
 from .metrics import FinslerMetric, MagneticMetric, _bracketed_root
 from .tables import BoundaryPoint, ConvexTable, conormal, orthonormal_complement
@@ -166,6 +167,7 @@ def integrate_geodesic(metric: FinslerMetric, x, v, t_max: float, dt: float):
     """
     xa = np.array(as_components(x, metric.dim))
     va = np.array(as_components(v, metric.dim))
+    t_max, dt = _check_real("t_max", t_max), _check_real("dt", dt)
     if not (math.isfinite(dt) and dt > 0 and math.isfinite(t_max / dt)):
         raise InvalidParameters(
             f"t_max and dt must be finite, dt > 0 and t_max / dt finite; got {t_max!r}, {dt!r}")
@@ -230,7 +232,8 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
     [s_min, horizon] brackets it.  Only a magnetic arc, which can leave the
     table and re-enter it, steps along the path to bracket the first sign
     change of phi.  ``_bracketed_root`` then runs a safeguarded Newton on phi
-    from the bracket's outer end until its step is at most 1e-14 * scale.
+    from the bracket's outer end, evaluated once, until its step is at most
+    1e-14 * scale.
     """
     path = _FlightPath(metric, start, direction)
     scale = table.scale
@@ -238,10 +241,14 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
     step = scale / 64.0
     horizon = _HORIZON_RADII * scale
 
+    def phi(s: float) -> tuple[float, float]:
+        x = path.point(s)
+        return table._phi(x), float(table._grad(x) @ path.tangent(s))
+
     if table._phi(path.point(s_min)) >= 0.0:
         raise GrazingDeparture("flight starts on or outside the boundary")
     if metric.flat_geodesics:
-        bracket = (s_min, horizon) if table._phi(path.point(horizon)) >= 0.0 else None
+        bracket = (s_min, horizon)
     else:
         bracket = None
         s_prev = s = s_min
@@ -253,14 +260,12 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
                     break
                 s_prev = s_next
             s += step
-    if bracket is None:
+    # for a chord this one evaluation of the outer end is both the bracket check and
+    # the root's first iterate
+    at_hi = None if bracket is None else phi(bracket[1])
+    if at_hi is None or at_hi[0] < 0.0:
         raise NoExit("no boundary crossing within the search horizon")
-
-    def phi(s: float) -> tuple[float, float]:
-        x = path.point(s)
-        return table._phi(x), float(table._grad(x) @ path.tangent(s))
-
-    s_hit = _bracketed_root(phi, *bracket, 1e-14 * scale)
+    s_hit = _bracketed_root(phi, *bracket, at_hi, 1e-14 * scale)
     p = path.point(s_hit)
     if abs(table._phi(p)) > 1e-10 * scale:
         raise NoConvergence("boundary crossing did not converge to tolerance")

@@ -33,6 +33,7 @@ from .errors import (
     NotOnIndicatrix,
     ZeroVector,
     _check_int,
+    _check_real,
 )
 from .tables import orthonormal_complement
 from .vectors import Covector, Vector, _norm, as_components
@@ -70,20 +71,20 @@ def _central_diff(f, y: np.ndarray, h: float) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _bracketed_root(f, lo: float, hi: float, xtol: float) -> float:
+def _bracketed_root(f, lo: float, hi: float, at_hi: tuple[float, float], xtol: float) -> float:
     """Root of f in [lo, hi], where f(lo) <= 0 < f(hi), by safeguarded Newton.
 
-    ``f(x)`` returns the value and the slope of f at x.  Newton starts at hi;
-    for a convex f, as along a chord through a convex table or for the
+    ``f(x)`` returns the value and the slope of f at x, and ``at_hi`` is
+    f(hi), which the caller has from checking the bracket.  Newton starts at
+    hi; for a convex f, as along a chord through a convex table or for the
     reflection drop, it descends monotonically onto the root.  Each iterate
     shrinks the bracket by the sign of f there, and a step that leaves the
     bracket is replaced by its midpoint.  Stops when a Newton step is at most
     xtol, the bracket is at most 2 xtol wide, or f is exactly 0; the caller
     checks the residual it needs.
     """
-    x = hi
+    x, (fx, d) = hi, at_hi
     for _ in range(_ROOT_MAX_ITER):
-        fx, d = f(x)
         if fx == 0.0:
             return x
         if fx > 0.0:
@@ -98,6 +99,7 @@ def _bracketed_root(f, lo: float, hi: float, xtol: float) -> float:
             x = 0.5 * (lo + hi)
             if hi - lo <= 2.0 * xtol:
                 return x
+        fx, d = f(x)
     return x
 
 
@@ -292,7 +294,8 @@ class FinslerMetric:
         this method, as every built-in does.  The dual norm N is sublinear, so
         N(Du - t p) >= t N(-p) - N(-Du), which reaches 1 at
         t_hi = (1 + N(-Du)) / N(-p).  Doubling t_hi is left only for when the
-        generic dual's noise leaves phi(t_hi) <= 0.
+        generic dual's noise leaves phi(t_hi) <= 0.  The last phi(t_hi) is the
+        root's first iterate, so it is evaluated once.
         """
 
         def phi(t: float) -> tuple[float, float]:
@@ -301,11 +304,13 @@ class FinslerMetric:
 
         t_lo = 0.0
         t_hi = (1.0 + self._dual_norm(x, -Du)) / self._dual_norm(x, -p)
-        while phi(t_hi)[0] <= 0.0:
+        at_hi = phi(t_hi)
+        while at_hi[0] <= 0.0:
             t_lo, t_hi = t_hi, 2.0 * t_hi
             if t_hi > _BRACKET_CAP:
                 raise NoConvergence("reflection root bracket exceeded its cap")
-        return _bracketed_root(phi, t_lo, t_hi, _DROP_XTOL)
+            at_hi = phi(t_hi)
+        return _bracketed_root(phi, t_lo, t_hi, at_hi, _DROP_XTOL)
 
     # -- second-order data for the geodesic integrator --------------------
 
@@ -527,7 +532,7 @@ class MagneticMetric(_RandersMetric):
     dim = 2
 
     def __init__(self, B: float):
-        B = float(B)
+        B = _check_real("magnetic field B", B)
         if not math.isfinite(B):
             raise InvalidParameters(f"magnetic field B must be finite, got {B!r}")
         if B == 0.0:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,39 +178,40 @@ def length_function(metric: FinslerMetric, polygon) -> float:
     return math.fsum(connect(metric, pts[i], pts[(i + 1) % r]).length for i in range(r))
 
 
-def _covectors(metric: FinslerMetric, pts: np.ndarray, chords) -> tuple[dict, dict]:
-    """Legendre covectors at the ends of the named chords, chord j running j -> j+1.
+class _Evaluation(NamedTuple):
+    """``_grad_flat``'s result; row j of departing/arriving belongs to chord j -> j+1."""
 
-    Returns two dicts keyed by chord: the departing covector at vertex j and
-    the arriving covector at vertex j+1.
-    """
-    r = pts.shape[0]
-    segs = {j: connect(metric, pts[j], pts[(j + 1) % r]) for j in chords}
-    departing = {j: metric._DL(pts[j], seg.start_tangent) for j, seg in segs.items()}
-    arriving = {j: metric._DL(pts[(j + 1) % r], seg.end_tangent) for j, seg in segs.items()}
-    return departing, arriving
+    grad: np.ndarray  # flattened to r*(d-1)
+    frames: list
+    drops: list
+    departing: np.ndarray
+    arriving: np.ndarray
 
 
-def _vertex_row(frame: np.ndarray, arriving: np.ndarray, departing: np.ndarray) -> np.ndarray:
-    """Gradient row of a vertex: its tangent frame applied to arriving - departing."""
-    return frame @ (arriving - departing)
+def _chord_covectors(metric: FinslerMetric, pts: np.ndarray, j: int):
+    """Departing and arriving Legendre covectors of chord j -> j+1."""
+    k = (j + 1) % pts.shape[0]
+    seg = connect(metric, pts[j], pts[k])
+    return metric._DL(pts[j], seg.start_tangent), metric._DL(pts[k], seg.end_tangent)
 
 
 def _grad_flat(metric: FinslerMetric, table: ConvexTable, pts: np.ndarray,
-               drops=None) -> np.ndarray:
-    """Projected gradient of the cyclic length, flattened to r*(d-1).
+               drops=None) -> _Evaluation:
+    """Projected gradient of the cyclic length, with the frames and covectors behind it.
 
     Vertex i's tangent frame is ``orthonormal_complement`` of its normal,
-    leaving out coordinate axis drops[i] when ``drops`` is given.
+    leaving out coordinate axis drops[i]; by default its largest axis.
     """
     r, d = pts.shape
-    departing, arriving = _covectors(metric, pts, range(r))
-    out = np.empty((r, d - 1))
-    for i in range(r):
-        frame = orthonormal_complement(table._grad(pts[i]),
-                                       None if drops is None else drops[i])
-        out[i] = _vertex_row(frame, arriving[(i - 1) % r], departing[i])
-    return out.ravel()
+    departing, arriving = np.empty((r, d)), np.empty((r, d))
+    for j in range(r):
+        departing[j], arriving[j] = _chord_covectors(metric, pts, j)
+    normals = [table._grad(p) for p in pts]
+    if drops is None:
+        drops = [_largest_axis(n) for n in normals]
+    frames = [orthonormal_complement(n, drop) for n, drop in zip(normals, drops)]
+    grad = np.concatenate([frames[i] @ (arriving[i - 1] - departing[i]) for i in range(r)])
+    return _Evaluation(grad, frames, drops, departing, arriving)
 
 
 def grad_length(metric: FinslerMetric, table: ConvexTable, polygon) -> np.ndarray:
@@ -219,7 +221,7 @@ def grad_length(metric: FinslerMetric, table: ConvexTable, polygon) -> np.ndarra
     covector at vertex i with the deterministic tangent basis there.
     """
     pts = _points_array(polygon, table.dim)
-    return _grad_flat(metric, table, pts).reshape(pts.shape[0], pts.shape[1] - 1)
+    return _grad_flat(metric, table, pts).grad.reshape(pts.shape[0], pts.shape[1] - 1)
 
 
 def in_g_epsilon(polygon: CyclicPolygon, epsilon: float) -> bool:
@@ -341,10 +343,10 @@ def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
     _check_tol("eig_tol", tol)
     if not _check_distinct(pts, scale):
         raise CoincidentPoints("consecutive vertices coincide within tolerance")
-    jac = _jacobian(metric, table, pts, _JAC_H_REL * scale, scale)
-    if jac is None:
+    base = _safe_grad(metric, table, pts, scale)
+    J = None if base is None else _jacobian(metric, table, pts, base, _JAC_H_REL * scale, scale)
+    if J is None:
         raise InvalidParameters("the chart Hessian is undefined at this polygon")
-    J, _ = jac
     eigs = np.linalg.eigvalsh(0.5 * (J + J.T))
     index = int(np.sum(eigs < -tol))
     degeneracy = int(np.sum(np.abs(eigs) <= tol))
@@ -355,7 +357,8 @@ def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
 # multistart refinement
 
 
-def _safe_grad(metric, table, pts, scale):
+def _safe_grad(metric, table, pts, scale) -> _Evaluation | None:
+    """``_grad_flat`` of a polygon with distinct consecutive vertices; None if it fails."""
     if not _check_distinct(pts, scale):
         return None
     try:
@@ -364,46 +367,36 @@ def _safe_grad(metric, table, pts, scale):
         return None
 
 
-def _jacobian(metric, table, pts, h, scale):
-    """Central-difference Jacobian of the projected gradient; None if it fails.
+def _jacobian(metric, table, pts, base, h, scale):
+    """Central-difference Jacobian of the projected gradient; None if a probe fails.
 
-    Returns (J, frames).  Column (i, k) moves vertex i by +-h along
-    frames[i][k], the default tangent frame, projected back onto the boundary.
-    The probe gradients leave out the same frame axes as the default frames,
-    so the frames do not jump between probes where two normal components tie.
-    A probe recomputes only what its moved vertex touches (chords i-1 and i,
-    the covectors at their ends, vertex i's frame and rows i-1, i, i+1) and
-    copies the rest from the base polygon, so each probe gradient equals
-    ``_grad_flat(metric, table, probe, drops)`` bit for bit.
+    ``base`` is ``_grad_flat`` of pts.  Column (i, k) moves vertex i by +-h
+    along base.frames[i][k], projected back onto the boundary.  The probe
+    gradients leave out the same frame axes as the base frames, so the frames
+    do not jump between probes where two normal components tie.  A probe
+    recomputes only what its moved vertex touches (chords i-1 and i, vertex
+    i's frame and rows i-1, i, i+1) and copies the rest from the base, so each
+    probe gradient equals ``_grad_flat(metric, table, probe, base.drops)``
+    bit for bit.
     """
-    normals = [table._grad(p) for p in pts]
-    drops = [_largest_axis(n) for n in normals]
-    frames = [orthonormal_complement(normal, drop) for normal, drop in zip(normals, drops)]
     r, d = pts.shape
-    departing, arriving = {}, {}
-    base = np.empty((r, d - 1))
-    if r > 2:  # for r = 2 both chords end at the moved vertex, so a probe replaces every row
-        try:
-            departing, arriving = _covectors(metric, pts, range(r))
-        except FinslerBilliardsError:
-            return None  # a probe that leaves the failing chord alone would fail the same way
-        for j in range(r):
-            base[j] = _vertex_row(frames[j], arriving[(j - 1) % r], departing[j])
+    rows, frames = base.grad.reshape(r, d - 1), base.frames
 
     def probe_grad(i, x):
         probe = pts.copy()
         probe[i] = x
         if not _check_distinct(probe, scale):
             return None
+        dep, arr = base.departing.copy(), base.arriving.copy()
         try:
-            dep, arr = _covectors(metric, probe, ((i - 1) % r, i))
-            frame = orthonormal_complement(table._grad(x), drops[i])
+            for j in ((i - 1) % r, i):
+                dep[j], arr[j] = _chord_covectors(metric, probe, j)
+            frame = orthonormal_complement(table._grad(x), base.drops[i])
         except FinslerBilliardsError:
             return None
-        dep, arr = {**departing, **dep}, {**arriving, **arr}
-        out = base.copy()
+        out = rows.copy()
         for j in {(i - 1) % r, i, (i + 1) % r}:
-            out[j] = _vertex_row(frame if j == i else frames[j], arr[(j - 1) % r], dep[j])
+            out[j] = (frame if j == i else frames[j]) @ (arr[j - 1] - dep[j])
         return out.ravel()
 
     n = r * (d - 1)
@@ -420,7 +413,7 @@ def _jacobian(metric, table, pts, h, scale):
             if gp is None or gm is None:
                 return None
             J[:, i * (d - 1) + k] = (gp - gm) / (2.0 * h)
-    return J, frames
+    return J
 
 
 def _retract(table, pts, frames, delta):
@@ -440,20 +433,19 @@ def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
         ])
     except FinslerBilliardsError:
         return None
-    g = _safe_grad(metric, table, pts, scale)
-    if g is None:
+    ev = _safe_grad(metric, table, pts, scale)
+    if ev is None:
         return None
-    gn = _norm(g)
+    gn = _norm(ev.grad)
     h = _JAC_H_REL * scale
 
     for _ in range(max_iter):
         if gn <= 1e-14 * scale:
             break
-        jac = _jacobian(metric, table, pts, h, scale)
-        if jac is None:
+        J = _jacobian(metric, table, pts, ev, h, scale)
+        if J is None:
             break
-        J, frames = jac
-        delta, *_ = np.linalg.lstsq(J, -g, rcond=_NEWTON_RCOND)
+        delta, *_ = np.linalg.lstsq(J, -ev.grad, rcond=_NEWTON_RCOND)
         dn = _norm(delta)
         if dn > 0.5 * scale:
             delta *= 0.5 * scale / dn
@@ -461,15 +453,15 @@ def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
         accepted = False
         while t > 1e-12:
             try:
-                cand = _retract(table, pts, frames, t * delta)
+                cand = _retract(table, pts, ev.frames, t * delta)
             except FinslerBilliardsError:
                 t *= 0.5
                 continue
-            gc = _safe_grad(metric, table, cand, scale)
-            if gc is not None:
-                gcn = _norm(gc)
+            cand_ev = _safe_grad(metric, table, cand, scale)
+            if cand_ev is not None:
+                gcn = _norm(cand_ev.grad)
                 if gcn < gn:
-                    pts, g, gn = cand, gc, gcn
+                    pts, ev, gn = cand, cand_ev, gcn
                     accepted = True
                     break
             t *= 0.5

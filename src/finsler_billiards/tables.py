@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameters, NoConvergence, _check_int
+from .errors import InvalidParameters, NoConvergence, _check_int, _check_real
 from .vectors import Covector, Vector, _norm, as_components
 
 __all__ = [
@@ -167,7 +167,7 @@ def ellipsoid_table(semi_axes: Sequence[float], eps: float = 0.0,
             raise InvalidParameters("perturbation coeffs must match the dimension")
         if not np.all(np.isfinite(c)):
             raise InvalidParameters("perturbation coeffs must be finite")
-    eps = float(eps)
+    eps = _check_real("perturbation eps", eps)
     if not math.isfinite(eps):
         raise InvalidParameters(f"perturbation eps must be finite, got {eps!r}")
     phi, grad = _ellipsoid_fields(a, eps, c)
@@ -188,10 +188,10 @@ def table_from_spec(spec: dict) -> ConvexTable:
         raise InvalidParameters(f"unknown table kind {kind!r}")
     if "semi_axes" not in spec:
         raise InvalidParameters("ellipsoid spec requires 'semi_axes'")
-    pert = spec.get("perturbation") or {}
-    eps = float(pert.get("eps", 0.0))
-    coeffs = pert.get("coeffs")
-    return ellipsoid_table(spec["semi_axes"], eps=eps, coeffs=coeffs)
+    pert = {} if spec.get("perturbation") is None else spec["perturbation"]
+    if not isinstance(pert, dict):
+        raise InvalidParameters("'perturbation' must be an object")
+    return ellipsoid_table(spec["semi_axes"], eps=pert.get("eps", 0.0), coeffs=pert.get("coeffs"))
 
 
 def project_to_boundary(table: ConvexTable, x) -> BoundaryPoint:

@@ -255,6 +255,30 @@ def test_trace_geodesic_rejects_infinite_time(tmp_path, capsys, t_max, dt):
     assert capsys.readouterr().err.startswith("error: t_max and dt must be finite")
 
 
+GEODESIC = {"kind": "geodesic", "start": [0.0, 0.0], "direction": [1.0, 0.0],
+            "t_max": 0.2, "dt": 0.01}
+DISK_TABLE = {"kind": "ellipsoid", "semi_axes": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"metric": {"kind": "magnetic", "B": "0.1"}}, "magnetic field B must be a number"),
+    ({"metric": {"kind": "magnetic", "B": True}}, "magnetic field B must be a number"),
+    ({"table": dict(DISK_TABLE, perturbation={"eps": "0.02"})}, "perturbation eps must be a number"),
+    ({"table": dict(DISK_TABLE, perturbation={"eps": True})}, "perturbation eps must be a number"),
+    ({"table": dict(DISK_TABLE, perturbation=[0.02])}, "'perturbation' must be an object"),
+    ({"table": dict(DISK_TABLE, perturbation=5)}, "'perturbation' must be an object"),
+    ({"trace": dict(GEODESIC, t_max="0.2")}, "t_max must be a number"),
+    ({"trace": dict(GEODESIC, dt=True)}, "dt must be a number"),
+], ids=["B-string", "B-bool", "eps-string", "eps-bool", "perturbation-list",
+        "perturbation-number", "t_max-string", "dt-bool"])
+def test_float_fields_reject_strings_and_booleans(tmp_path, capsys, change, message):
+    # float() used to read "0.1" as 0.1 and True as 1.0
+    config = dict(MAGNETIC_TRACE, **change)
+    code = cli.main(["trace", "--config", write_config(tmp_path, config)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_mode_mismatch_rejected(tmp_path, capsys):
     code = cli.main(["trace", "--config", write_config(tmp_path, DISK_SEARCH)])
     assert code == 1

@@ -324,7 +324,7 @@ def test_chord_exit_takes_few_phi_evaluations():
     (lambda x: (np.arctan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)), -10.0, 10.0, 0.3),
 ])
 def test_bracketed_root(f, lo, hi, root):
-    assert abs(_bracketed_root(f, lo, hi, 1e-12) - root) <= 1e-12
+    assert abs(_bracketed_root(f, lo, hi, f(hi), 1e-12) - root) <= 1e-12
 
 
 def test_chord_reports_no_exit_beyond_the_horizon():

@@ -198,8 +198,10 @@ def test_newton_jacobian_continuous_at_frame_tie(unit_circle):
     # the vertex at 225 degrees has tied normal components; the rotated
     # triangle has none, and the two Jacobians must share a spectrum
     def spectrum(angles):
-        J, _ = fb.search._jacobian(EuclideanMetric(), unit_circle, circle_polygon(angles),
-                                   1e-6 * unit_circle.scale, unit_circle.scale)
+        metric, pts = EuclideanMetric(), circle_polygon(angles)
+        base = fb.search._grad_flat(metric, unit_circle, pts)
+        J = fb.search._jacobian(metric, unit_circle, pts, base, 1e-6 * unit_circle.scale,
+                                unit_circle.scale)
         return np.sort(np.linalg.eigvals(J).real)
 
     tie, plain = spectrum([105, 225, 345]), spectrum([100, 220, 340])
@@ -219,8 +221,8 @@ def reference_jacobian(metric, table, pts, h):
             plus, minus = pts.copy(), pts.copy()
             plus[i] = fb.project_to_boundary(table, pts[i] + h * frames[i][k]).position.components
             minus[i] = fb.project_to_boundary(table, pts[i] - h * frames[i][k]).position.components
-            gp = fb.search._grad_flat(metric, table, plus, drops)
-            gm = fb.search._grad_flat(metric, table, minus, drops)
+            gp = fb.search._grad_flat(metric, table, plus, drops).grad
+            gm = fb.search._grad_flat(metric, table, minus, drops).grad
             J[:, i * (d - 1) + k] = (gp - gm) / (2.0 * h)
     return J, frames
 
@@ -252,10 +254,39 @@ def test_jacobian_probes_match_whole_polygon_gradients(kind, r, rng):
     h = 1e-6 * table.scale
     for _ in range(3):
         pts = random_polygon(table, r, rng)
-        J, frames = fb.search._jacobian(metric, table, pts, h, table.scale)
+        base = fb.search._grad_flat(metric, table, pts)
+        J = fb.search._jacobian(metric, table, pts, base, h, table.scale)
         J_ref, frames_ref = reference_jacobian(metric, table, pts, h)
         assert np.array_equal(J, J_ref)
-        assert all(np.array_equal(a, b) for a, b in zip(frames, frames_ref))
+        assert all(np.array_equal(a, b) for a, b in zip(base.frames, frames_ref))
+
+
+def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
+    # the line search's accepted evaluation is the Jacobian's base: each
+    # candidate costs one _grad_flat (r chords), and a Jacobian at r = 3,
+    # d = 3 connects only its 4 r (d - 1) = 24 probe chords
+    metric, table = EuclideanMetric(), fb.ellipsoid_table([1.0, 1.3, 1.7], eps=0.02)
+    calls = dict.fromkeys(["connect", "_grad_flat", "_retract", "_jacobian"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            calls[name] += 1  # after the call: a retraction that raises is no candidate
+            return out
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fb.search, name, counted(name, getattr(fb.search, name)))
+    pts = random_polygon(table, 3, rng)
+    base = fb.search._grad_flat(metric, table, pts)
+    fb.search._jacobian(metric, table, pts, base, 1e-6 * table.scale, table.scale)
+    assert (calls["connect"], calls["_grad_flat"]) == (3 + 24, 1)
+
+    calls.update(dict.fromkeys(calls, 0))
+    assert fb.search._refine(metric, table, pts, 1e-9, table.scale, 60) is not None
+    assert calls["_jacobian"] > 0
+    assert calls["_grad_flat"] == 1 + calls["_retract"]
+    assert calls["connect"] == 3 * calls["_grad_flat"] + 24 * calls["_jacobian"]
 
 
 def test_norm_matches_numpy_bit_for_bit(rng):
