@@ -54,10 +54,10 @@ def reflect(metric: FinslerMetric, table: ConvexTable, y: BoundaryPoint, u) -> n
     Du = metric._DL(x, ua)
     t = metric._reflection_drop(x, Du, p)
     q = Du - t * p
-    v = metric._dual_argmax(x, q)
+    dual_norm, v = metric._dual_max(x, q)
     Dv = metric._DL(x, v)
     acc = metric.dual_accuracy
-    if abs(metric._dual_norm(x, q) - 1.0) > max(1e-10, 10.0 * acc):
+    if abs(dual_norm - 1.0) > max(1e-10, 10.0 * acc):
         raise NoConvergence("reflected covector is off the unit dual sphere")
     res_tol = max(1e-9, 100.0 * acc) * _norm(Du)
     if np.max(np.abs(Du - Dv - t * p)) > res_tol:

@@ -400,6 +400,10 @@ class _RandersMetric(FinslerMetric):
     def _dual_argmax(self, x, q):
         return _randers_dual_argmax(self.alpha_at(x), q)
 
+    def _dual_max(self, x, q):
+        alpha = self.alpha_at(x)
+        return _randers_dual_norm(alpha, q), _randers_dual_argmax(alpha, q)
+
     def _reflection_drop(self, x, Du, p):
         # the unit dual sphere is the Euclidean unit sphere shifted by alpha(x)
         return 2.0 * float((Du - self.alpha_at(x)) @ p) / float(p @ p)
@@ -466,11 +470,11 @@ class RiemannianMetric(FinslerMetric):
     def _dual_norm(self, x, q):
         return float(np.sqrt(q @ self.Ginv @ q))
 
-    def _dual_argmax(self, x, q):
+    def _dual_max(self, x, q):
         dn = self._dual_norm(x, q)
         if dn == 0.0:
             raise InvalidParameters("cannot maximize the zero covector")
-        return self.Ginv @ q / dn
+        return dn, self.Ginv @ q / dn
 
     def _reflection_drop(self, x, Du, p):
         Gp = self.Ginv @ p

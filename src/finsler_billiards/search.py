@@ -15,6 +15,7 @@ and guards against collapsed polygons with the edge-product threshold.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -59,16 +60,19 @@ __all__ = [
 _DISTINCT_REL = 1e-8
 _MIN_EDGE_REL = 1e-4
 _JAC_H_REL = 1e-6
-# Newton's lstsq cutoff: J's central differences carry rounding noise of about eps /
-# _JAC_H_REL = 2e-10 relative to |J|, so smaller singular values (a critical manifold's
-# null direction) are noise; 1e-8 sits 50x above that and h^2 truncation (1e-12).
+# Newton's lstsq cutoff, so the step ignores a critical manifold's null direction.  The
+# closed-form Jacobian of straight chords is exact to rounding; the central differences
+# taken for Larmor arcs, user Lagrangians and tables without a Hessian carry noise of
+# about eps / _JAC_H_REL = 2e-10 relative to |J|, and 1e-8 sits 50x above that and
+# above their h^2 truncation (1e-12).
 _NEWTON_RCOND = 1e-8
 _EIG_TOL_REL = 1e-6
 _FAMILY_LAMBDA_REL = 1e-7  # a critical family has one critical value
 
 
 def _check_tol(name: str, value) -> None:
-    if isinstance(value, bool) or not (math.isfinite(value) and value > 0.0):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and value > 0.0)):
         raise InvalidParameters(f"{name} must be a finite number > 0, got {value!r}")
 
 
@@ -182,6 +186,7 @@ class _Evaluation(NamedTuple):
     """``_grad_flat``'s result; row j of departing/arriving belongs to chord j -> j+1."""
 
     grad: np.ndarray  # flattened to r*(d-1)
+    normals: list  # table._grad at each vertex
     frames: list
     drops: list
     departing: np.ndarray
@@ -211,7 +216,7 @@ def _grad_flat(metric: FinslerMetric, table: ConvexTable, pts: np.ndarray,
         drops = [_largest_axis(n) for n in normals]
     frames = [orthonormal_complement(n, drop) for n, drop in zip(normals, drops)]
     grad = np.concatenate([frames[i] @ (arriving[i - 1] - departing[i]) for i in range(r)])
-    return _Evaluation(grad, frames, drops, departing, arriving)
+    return _Evaluation(grad, normals, frames, drops, departing, arriving)
 
 
 def grad_length(metric: FinslerMetric, table: ConvexTable, polygon) -> np.ndarray:
@@ -331,11 +336,14 @@ def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
                 eig_tol: float | None = None) -> tuple[int, int]:
     """(index, degeneracy) of the chart Hessian of the cyclic length.
 
-    The chart Hessian is the symmetrised Newton Jacobian: central differences
-    of the projected gradient on boundary charts anchored at the polygon.
-    Eigenvalues below -eig_tol count toward the index, eigenvalues within
-    eig_tol of zero are reported as degeneracy.  Valid at critical points,
-    where the chart curvature terms drop out.
+    The chart Hessian is the symmetrised Newton Jacobian of the projected
+    gradient on boundary charts anchored at the polygon: in closed form for
+    the straight chords of the Euclidean, Minkowski and Riemannian metrics on
+    a table with a Hessian (every ellipsoid table), and by central differences
+    for Larmor arcs, user Lagrangians and tables without a Hessian.  Eigenvalues below
+    -eig_tol count toward the index, eigenvalues within eig_tol of zero are
+    reported as degeneracy.  Valid at critical points, where the chart
+    curvature terms drop out.
     """
     pts = _points_array(polygon, table.dim)
     scale = table.scale
@@ -367,7 +375,7 @@ def _safe_grad(metric, table, pts, scale) -> _Evaluation | None:
         return None
 
 
-def _jacobian(metric, table, pts, base, h, scale):
+def _fd_jacobian(metric, table, pts, base, h, scale):
     """Central-difference Jacobian of the projected gradient; None if a probe fails.
 
     ``base`` is ``_grad_flat`` of pts.  Column (i, k) moves vertex i by +-h
@@ -414,6 +422,71 @@ def _jacobian(metric, table, pts, base, h, scale):
                 return None
             J[:, i * (d - 1) + k] = (gp - gm) / (2.0 * h)
     return J
+
+
+def _chord_jacobian(metric, table, pts, base):
+    """Closed-form Jacobian of the projected gradient for straight chords.
+
+    Row block i is the derivative of g_i = F_i c_i, with c_i = DL(e_{i-1}) - DL(e_i)
+    and chord e_j = x_{j+1} - x_j, as vertex x_i moves along its frame rows
+    (``_fd_jacobian``'s columns, up to the chart's O(h^2), which its central
+    differences cancel).  With A_j = _Lvv(e_j) the blocks are
+
+        J_{i,i+-1} = -F_i A F_{i+-1}^T, A that of the chord x_i and x_{i+-1} share,
+        J_ii = F_i (A_{i-1} + A_i) F_i^T + T_i,
+
+    where T_i is c_i against the frame's derivative.  [n, F_i^T] is the Q
+    factor of the QR factorisation [n, e_kept...] = QR, for the unit normal n
+    and the coordinate axes the frame keeps, and n moves by
+    Dn = (I - n n^T) H / |grad phi| with H the Hessian of phi.  The first row
+    of R^-1 is row ``drop`` of Q over n[drop], so with P = F_i H F_i^T / |grad phi|
+    and rho = F_i[:, drop] / n[drop],
+
+        T_i[a, k] = rho[a] sum_{b>a} g_b P[b, k] - P[a, k] (n.c_i + sum_{b<a} rho[b] g_b).
+
+    Its n.c_i part is the second fundamental form weighted by the normal
+    component of c_i; the rest is the frame's in-plane rotation, which
+    vanishes at critical points (g = 0).  DL and _Lvv are taken independent of
+    the base point, as for every metric whose geodesics are straight chords.
+    """
+    r, d = pts.shape
+    m = d - 1
+    chords = np.roll(pts, -1, axis=0) - pts
+    A = [metric._Lvv(pts[j], chords[j]) for j in range(r)]
+    rows, frames = base.grad.reshape(r, m), base.frames
+    above = np.triu(np.ones((m, m)), 1)  # above[a, b] = 1 where b > a
+    J = np.zeros((r * m, r * m))
+    for i in range(r):
+        F, g, n = frames[i], rows[i], base.normals[i]
+        nn = _norm(n)
+        nhat = n / nn
+        c = base.arriving[i - 1] - base.departing[i]
+        P = F @ table._hess(pts[i]) @ F.T / nn
+        drop = base.drops[i]
+        rho = F[:, drop] / nhat[drop]
+        frame_term = (rho[:, None] * ((above * g) @ P)
+                      - P * (float(nhat @ c) + above.T @ (rho * g))[:, None])
+        prev, nxt = (i - 1) % r, (i + 1) % r
+        bi = slice(i * m, (i + 1) * m)
+        J[bi, bi] = F @ (A[prev] + A[i]) @ F.T + frame_term
+        # at r = 2, prev == nxt and both shared chords add into one block
+        J[bi, nxt * m:(nxt + 1) * m] -= F @ A[i] @ frames[nxt].T
+        J[bi, prev * m:(prev + 1) * m] -= F @ A[prev] @ frames[prev].T
+    return J
+
+
+def _jacobian(metric, table, pts, base, h, scale):
+    """Jacobian of the projected gradient at pts; None if it cannot be taken.
+
+    Closed form (``_chord_jacobian``) for straight chords of a metric with a
+    closed-form ``_Lvv`` on a table with a Hessian; central differences
+    (``_fd_jacobian``) for Larmor arcs, user Lagrangians and tables without
+    ``hess_phi``.
+    """
+    if (metric.flat_geodesics and type(metric)._Lvv is not FinslerMetric._Lvv
+            and table._hess_fn is not None):
+        return _chord_jacobian(metric, table, pts, base)
+    return _fd_jacobian(metric, table, pts, base, h, scale)
 
 
 def _retract(table, pts, frames, delta):

@@ -67,19 +67,25 @@ class ConvexTable:
         Ambient dimension (>= 2).
     spec : dict, optional
         JSON-ready description of the table, kept for serialization.
+    hess_phi : callable, optional
+        Closed-form Hessian of ``phi``, returning a (dim, dim) ndarray.  The
+        search builds its Newton Jacobian from it for straight-chord metrics;
+        without it, the Jacobian is taken by central differences.
 
-    ``_phi``/``_grad`` take unchecked float arrays (``_grad`` still checks what
-    ``grad_phi`` returns); ``phi``/``grad`` check coordinates, as in FinslerMetric.
+    ``_phi``/``_grad``/``_hess`` take unchecked float arrays (``_grad`` and
+    ``_hess`` still check what the callables return); ``phi``/``grad`` check
+    coordinates, as in FinslerMetric.
     """
 
     def __init__(self, phi: Callable, grad_phi: Callable, bounding_radius: float,
-                 dim: int, spec: dict | None = None):
+                 dim: int, spec: dict | None = None, hess_phi: Callable | None = None):
         _check_int("table dimension", dim, 2)
         if not (bounding_radius > 0 and math.isfinite(bounding_radius)):
             raise InvalidParameters(
                 f"bounding_radius must be finite and positive, got {bounding_radius!r}")
         self._phi_fn = phi
         self._grad_fn = grad_phi
+        self._hess_fn = hess_phi
         self.bounding_radius = float(bounding_radius)
         self.dim = int(dim)
         self.spec = dict(spec) if spec else {"kind": "custom"}
@@ -98,6 +104,12 @@ class ConvexTable:
         if g.shape != (self.dim,):
             raise InvalidParameters("grad_phi returned a wrong shape")
         return g
+
+    def _hess(self, x: np.ndarray) -> np.ndarray:
+        H = np.asarray(self._hess_fn(x), dtype=float)
+        if H.shape != (self.dim, self.dim):
+            raise InvalidParameters("hess_phi returned a wrong shape")
+        return H
 
     def phi(self, x) -> float:
         return self._phi(as_components(x, self.dim))
@@ -130,7 +142,10 @@ def _ellipsoid_fields(semi_axes: np.ndarray, eps: float, coeffs: np.ndarray):
         def grad(x):
             return 2.0 * inv2 * x
 
-        return phi, grad
+        def hess(x):
+            return np.diag(2.0 * inv2)
+
+        return phi, grad, hess
 
     def phi(x):
         s = float(x @ x)
@@ -144,7 +159,16 @@ def _ellipsoid_fields(semi_axes: np.ndarray, eps: float, coeffs: np.ndarray):
         dpert = 3.0 * coeffs * x**2 / (1.0 + s) - cubic * 2.0 * x / (1.0 + s) ** 2
         return quad + eps * dpert
 
-    return phi, grad
+    def hess(x):
+        s1 = 1.0 + float(x @ x)
+        cubic = float(coeffs @ x**3)
+        u = 3.0 * coeffs * x**2
+        dpert = (np.diag(6.0 * coeffs * x / s1 - 2.0 * cubic / s1**2)
+                 - 2.0 * (np.outer(u, x) + np.outer(x, u)) / s1**2
+                 + 8.0 * cubic * np.outer(x, x) / s1**3)
+        return np.diag(2.0 * inv2) + eps * dpert
+
+    return phi, grad, hess
 
 
 def ellipsoid_table(semi_axes: Sequence[float], eps: float = 0.0,
@@ -170,13 +194,13 @@ def ellipsoid_table(semi_axes: Sequence[float], eps: float = 0.0,
     eps = _check_real("perturbation eps", eps)
     if not math.isfinite(eps):
         raise InvalidParameters(f"perturbation eps must be finite, got {eps!r}")
-    phi, grad = _ellipsoid_fields(a, eps, c)
+    phi, grad, hess = _ellipsoid_fields(a, eps, c)
     spec = {"kind": "ellipsoid", "semi_axes": [float(v) for v in a]}
     if eps != 0.0:
         spec["perturbation"] = {"eps": eps, "coeffs": [float(v) for v in c]}
     # cubic bump moves the surface by O(eps); pad the bounding radius
     radius = float(np.max(a)) * (1.0 + 2.0 * abs(eps)) + 1e-9
-    return ConvexTable(phi, grad, radius, d, spec)
+    return ConvexTable(phi, grad, radius, d, spec, hess)
 
 
 def table_from_spec(spec: dict) -> ConvexTable:

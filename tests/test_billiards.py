@@ -75,7 +75,8 @@ def test_drop_bracket_end_is_past_the_root(metric, rng):
 def test_generic_drop_takes_few_dual_maximizations(rng, monkeypatch):
     # doubling the bracket up from 1e-6 took about 34 maximizations per
     # reflection, and two per root iterate 16.65; one per iterate took 11.5,
-    # and evaluating the bracket end once takes 10.5
+    # evaluating the bracket end once 10.5, and taking the reflected
+    # covector's dual norm and maximizer from one maximization takes 9.5
     alpha = np.array([0.2, -0.1])
     metric = LagrangianMetric(lambda x, v: float(np.linalg.norm(v) + alpha @ v), dim=2,
                               flat_geodesics=True)
@@ -91,7 +92,7 @@ def test_generic_drop_takes_few_dual_maximizations(rng, monkeypatch):
     for _ in range(20):
         y, u = random_incoming(metric, table, rng)
         reflect(metric, table, y, u)
-    assert len(calls) <= 11.5 * 20
+    assert len(calls) <= 9.5 * 20
 
 
 def test_magnetic_reflection_equals_mirror(ellipse, rng):

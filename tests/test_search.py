@@ -196,12 +196,15 @@ def test_morse_index_two_bounce_orbit(semi_axes, axis, expected):
 
 def test_newton_jacobian_continuous_at_frame_tie(unit_circle):
     # the vertex at 225 degrees has tied normal components; the rotated
-    # triangle has none, and the two Jacobians must share a spectrum
+    # triangle has none, and the two Jacobians must share a spectrum.  Both
+    # closed-form Jacobians match central differences with the same frames
     def spectrum(angles):
         metric, pts = EuclideanMetric(), circle_polygon(angles)
         base = fb.search._grad_flat(metric, unit_circle, pts)
         J = fb.search._jacobian(metric, unit_circle, pts, base, 1e-6 * unit_circle.scale,
                                 unit_circle.scale)
+        J_ref, _ = reference_jacobian(metric, unit_circle, pts, 1e-6 * unit_circle.scale)
+        assert np.max(np.abs(J - J_ref)) <= 1e-8 * np.max(np.abs(J_ref))
         return np.sort(np.linalg.eigvals(J).real)
 
     tie, plain = spectrum([105, 225, 345]), spectrum([100, 220, 340])
@@ -255,16 +258,77 @@ def test_jacobian_probes_match_whole_polygon_gradients(kind, r, rng):
     for _ in range(3):
         pts = random_polygon(table, r, rng)
         base = fb.search._grad_flat(metric, table, pts)
-        J = fb.search._jacobian(metric, table, pts, base, h, table.scale)
+        J = fb.search._fd_jacobian(metric, table, pts, base, h, table.scale)
         J_ref, frames_ref = reference_jacobian(metric, table, pts, h)
         assert np.array_equal(J, J_ref)
         assert all(np.array_equal(a, b) for a, b in zip(base.frames, frames_ref))
 
 
+def without_hessian(table):
+    """The same boundary as a custom table, which supplies no Hessian."""
+    return fb.ConvexTable(table._phi_fn, table._grad_fn, table.bounding_radius, table.dim)
+
+
+CLOSED_FORM_METRICS = {
+    "euclidean": lambda d: EuclideanMetric(),
+    "minkowski": lambda d: MinkowskiMetric([0.3, 0.1, -0.2, 0.15][:d]),
+    "riemannian": lambda d: RiemannianMetric(
+        np.array([[2.0, 0.3, 0.0, 0.1], [0.3, 1.0, 0.1, 0.0],
+                  [0.0, 0.1, 0.5, 0.05], [0.1, 0.0, 0.05, 1.2]])[:d, :d]),
+}
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+@pytest.mark.parametrize("semi_axes", [[1.2, 1.0], [1.0, 1.3, 1.7], [1.0, 1.3, 1.7, 0.9]],
+                         ids=["d2", "d3", "d4"])
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORM_METRICS))
+def test_closed_form_jacobian_matches_central_differences(kind, semi_axes, r, rng):
+    # the chart's O(h^2) terms cancel in the central difference, so the two
+    # agree to its rounding noise, about 2e-10 relative
+    metric = CLOSED_FORM_METRICS[kind](len(semi_axes))
+    table = fb.ellipsoid_table(semi_axes, eps=0.02)
+    h = 1e-6 * table.scale
+    for _ in range(3):
+        pts = random_polygon(table, r, rng)
+        base = fb.search._grad_flat(metric, table, pts)
+        J = fb.search._jacobian(metric, table, pts, base, h, table.scale)
+        J_ref, _ = reference_jacobian(metric, table, pts, h)
+        assert np.max(np.abs(J - J_ref)) <= 1e-8 * np.max(np.abs(J_ref))
+
+
+@pytest.mark.parametrize("case, closed_form", [
+    ("euclidean", True), ("minkowski", True), ("riemannian", True),
+    ("custom-table", False), ("flat-lagrangian", False), ("magnetic", False),
+])
+def test_jacobian_path_follows_metric_and_table(case, closed_form, rng, monkeypatch):
+    table = fb.ellipsoid_table([1.2, 1.0], eps=0.02)
+    if case in CLOSED_FORM_METRICS:
+        metric = CLOSED_FORM_METRICS[case](2)
+    elif case == "custom-table":
+        metric, table = EuclideanMetric(), without_hessian(table)
+    elif case == "flat-lagrangian":
+        metric = LagrangianMetric(lambda x, v: float(np.linalg.norm(v)), dim=2,
+                                  flat_geodesics=True)
+    else:
+        metric = MagneticMetric(0.3)
+    calls = []
+    for name in ("_chord_jacobian", "_fd_jacobian"):
+        def counted(*args, _name=name, _fn=getattr(fb.search, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(fb.search, name, counted)
+    pts = random_polygon(table, 3, rng)
+    base = fb.search._grad_flat(metric, table, pts)
+    assert fb.search._jacobian(metric, table, pts, base, 1e-6 * table.scale,
+                               table.scale) is not None
+    assert calls == ["_chord_jacobian" if closed_form else "_fd_jacobian"]
+
+
 def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
     # the line search's accepted evaluation is the Jacobian's base: each
-    # candidate costs one _grad_flat (r chords), and a Jacobian at r = 3,
-    # d = 3 connects only its 4 r (d - 1) = 24 probe chords
+    # candidate costs one _grad_flat (r chords).  A closed-form Jacobian
+    # connects no chord; a central-difference one, here on a table without a
+    # Hessian, at r = 3, d = 3 connects only its 4 r (d - 1) = 24 probe chords
     metric, table = EuclideanMetric(), fb.ellipsoid_table([1.0, 1.3, 1.7], eps=0.02)
     calls = dict.fromkeys(["connect", "_grad_flat", "_retract", "_jacobian"], 0)
 
@@ -278,15 +342,17 @@ def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
     for name in calls:
         monkeypatch.setattr(fb.search, name, counted(name, getattr(fb.search, name)))
     pts = random_polygon(table, 3, rng)
-    base = fb.search._grad_flat(metric, table, pts)
-    fb.search._jacobian(metric, table, pts, base, 1e-6 * table.scale, table.scale)
-    assert (calls["connect"], calls["_grad_flat"]) == (3 + 24, 1)
+    for table, probe_chords in ((table, 0), (without_hessian(table), 24)):
+        calls.update(dict.fromkeys(calls, 0))
+        base = fb.search._grad_flat(metric, table, pts)
+        fb.search._jacobian(metric, table, pts, base, 1e-6 * table.scale, table.scale)
+        assert (calls["connect"], calls["_grad_flat"]) == (3 + probe_chords, 1)
 
-    calls.update(dict.fromkeys(calls, 0))
-    assert fb.search._refine(metric, table, pts, 1e-9, table.scale, 60) is not None
-    assert calls["_jacobian"] > 0
-    assert calls["_grad_flat"] == 1 + calls["_retract"]
-    assert calls["connect"] == 3 * calls["_grad_flat"] + 24 * calls["_jacobian"]
+        calls.update(dict.fromkeys(calls, 0))
+        assert fb.search._refine(metric, table, pts, 1e-9, table.scale, 60) is not None
+        assert calls["_jacobian"] > 0
+        assert calls["_grad_flat"] == 1 + calls["_retract"]
+        assert calls["connect"] == 3 * calls["_grad_flat"] + probe_chords * calls["_jacobian"]
 
 
 def test_norm_matches_numpy_bit_for_bit(rng):
@@ -419,6 +485,17 @@ def test_bad_search_parameters_rejected_where_they_enter(field, value, ellipse, 
             find_critical(metric, ellipse, 3, SearchConfig(seeds=1))
         else:
             SearchConfig(**{field: value})
+
+
+@pytest.mark.parametrize("name", ["grad_tol", "epsilon", "cluster_tol", "eig_tol"])
+def test_string_tolerance_rejected_with_the_tolerance_message(name, unit_circle):
+    # a string used to reach math.isfinite and raise a raw TypeError
+    with pytest.raises(InvalidParameters, match=f"{name} must be a finite number > 0, got '0.1'"):
+        if name == "eig_tol":
+            morse_index(EuclideanMetric(), unit_circle, circle_polygon([90, 210, 330]),
+                        eig_tol="0.1")
+        else:
+            SearchConfig(**{name: "0.1"})
 
 
 @pytest.mark.parametrize("call", [

@@ -19,6 +19,22 @@ from finsler_billiards import (
 from finsler_billiards.tables import convexity_defect
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.02], ids=["plain", "bumped"])
+@pytest.mark.parametrize("semi_axes", [[1.2, 1.0], [1.0, 1.3, 1.7], [1.0, 1.3, 1.7, 0.9]],
+                         ids=["d2", "d3", "d4"])
+def test_hessian_matches_central_differences_of_gradient(semi_axes, eps, rng):
+    table = ellipsoid_table(semi_axes, eps=eps, coeffs=rng.uniform(-1.0, 1.0, len(semi_axes)))
+    h = 1e-6
+    for _ in range(10):
+        x = rng.standard_normal(table.dim)
+        H = table._hess(x)
+        fd = np.stack([(table._grad(x + h * e) - table._grad(x - h * e)) / (2.0 * h)
+                       for e in np.eye(table.dim)], axis=1)
+        assert H.shape == (table.dim, table.dim)
+        assert np.array_equal(H, H.T)
+        assert np.max(np.abs(H - fd)) <= 1e-8 * max(1.0, np.max(np.abs(H)))
+
+
 def test_projection_onto_unit_sphere(unit_sphere):
     bp = project_to_boundary(unit_sphere, [2.0, 0.0, 0.0])
     assert np.allclose(bp.position.components, [1.0, 0.0, 0.0], atol=1e-12)
@@ -144,9 +160,9 @@ def test_boundary_point_rejects_interior(unit_sphere):
         unit_sphere.boundary_point([0.5, 0.0, 0.0])
 
 
-def user_circle(grad_phi):
+def user_circle(grad_phi, hess_phi=None):
     """The unit circle built from user callables, phi = x.x - 1."""
-    return ConvexTable(lambda x: float(x @ x) - 1.0, grad_phi, 1.0, 2)
+    return ConvexTable(lambda x: float(x @ x) - 1.0, grad_phi, 1.0, 2, hess_phi=hess_phi)
 
 
 def test_user_table_with_list_gradient():
@@ -171,5 +187,22 @@ def test_user_table_gradient_of_wrong_shape_rejected(start):
         table.grad(start)
     with pytest.raises(InvalidParameters, match="wrong shape"):
         project_to_boundary(table, start)
+    with pytest.raises(InvalidParameters, match="wrong shape"):
+        find_critical(EuclideanMetric(), table, 3, SearchConfig(seeds=4, rng_seed=0))
+
+
+def test_user_table_hessian_is_checked_and_used():
+    # a list Hessian is coerced and gives the search the same continuum; one
+    # of the wrong shape is rejected where the Newton Jacobian reads it
+    def grad(x):
+        return 2.0 * x
+
+    table = user_circle(grad, lambda x: [[2.0, 0.0], [0.0, 2.0]])
+    records = find_critical(EuclideanMetric(), table, 3, SearchConfig(seeds=4, rng_seed=0))
+    assert records
+    for rec in records:
+        assert rec.polygon.lambda_value == pytest.approx(3.0 * np.sqrt(3.0), abs=1e-7)
+        assert "continuum-suspect" in rec.flags
+    table = user_circle(grad, lambda x: np.eye(3))
     with pytest.raises(InvalidParameters, match="wrong shape"):
         find_critical(EuclideanMetric(), table, 3, SearchConfig(seeds=4, rng_seed=0))
