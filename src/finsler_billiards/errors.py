@@ -2,6 +2,8 @@
 
 import numbers
 
+import numpy as np
+
 
 class FinslerBilliardsError(Exception):
     """Base class for all package errors."""
@@ -74,3 +76,9 @@ def _check_real(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidParameters(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _check_reals(name: str, values) -> np.ndarray:
+    """values as a float array of the same shape, each entry checked by ``_check_real``."""
+    a = np.asarray(values, dtype=object)
+    return np.array([_check_real(name, v) for v in a.flat], dtype=float).reshape(a.shape)

@@ -130,10 +130,15 @@ def connect(metric: FinslerMetric, x, y) -> GeodesicSegment:
             start=xa, end=ya, start_tangent=u, end_tangent=u,
             length=metric._L(xa, ya - xa), kind="chord",
         )
-    if isinstance(metric, MagneticMetric):
-        return _connect_magnetic(metric, xa, ya)
-    raise InvalidParameters(
-        "connect supports straight-chord metrics and the planar magnetic field")
+    _check_connectable(metric)
+    return _connect_magnetic(metric, xa, ya)
+
+
+def _check_connectable(metric: FinslerMetric) -> None:
+    """Raise InvalidParameters for a metric whose geodesics ``connect`` cannot build."""
+    if not (metric.flat_geodesics or isinstance(metric, MagneticMetric)):
+        raise InvalidParameters(
+            "connect supports straight-chord metrics and the planar magnetic field")
 
 
 def _acceleration(metric: FinslerMetric, x: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -34,9 +34,10 @@ from .errors import (
     ZeroVector,
     _check_int,
     _check_real,
+    _check_reals,
 )
 from .tables import orthonormal_complement
-from .vectors import Covector, Vector, _norm, as_components
+from .vectors import Covector, Vector, _central_diff, _norm, as_components
 
 __all__ = [
     "FinslerMetric",
@@ -56,19 +57,6 @@ _FD_H_REL = 1e-6
 _BRACKET_CAP = 1e3
 _DROP_XTOL = 1e-12
 _ROOT_MAX_ITER = 100
-
-
-def _central_diff(f, y: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of f at y along each coordinate axis.
-
-    Entry (or column, for a vector-valued f) j is (f(y + h e_j) - f(y - h e_j)) / 2h.
-    """
-    cols = []
-    for j in range(y.size):
-        e = np.zeros(y.size)
-        e[j] = h
-        cols.append((f(y + e) - f(y - e)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
 
 
 def _bracketed_root(f, lo: float, hi: float, at_hi: tuple[float, float], xtol: float) -> float:
@@ -312,7 +300,7 @@ class FinslerMetric:
             at_hi = phi(t_hi)
         return _bracketed_root(phi, t_lo, t_hi, at_hi, _DROP_XTOL)
 
-    # -- second-order data for the geodesic integrator --------------------
+    # -- second-order data for the geodesic integrator and Newton's Jacobian
 
     def _Lvv(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = _central_diff(lambda w: self._DL(x, w), v, _FD_H_REL * _norm(v))
@@ -445,9 +433,11 @@ class RiemannianMetric(FinslerMetric):
     dual_accuracy = 1e-14
 
     def __init__(self, tensor):
-        G = np.asarray(tensor, dtype=float)
+        G = _check_reals("metric tensor entry", tensor)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise InvalidParameters("metric tensor must be square")
+        if not np.isfinite(G).all():
+            raise InvalidParameters("metric tensor entries must be finite")
         if not np.allclose(G, G.T, atol=1e-12):
             raise InvalidParameters("metric tensor must be symmetric")
         try:

@@ -30,7 +30,7 @@ from .errors import (
     ZeroWinding,
     _check_int,
 )
-from .geodesics import GeodesicSegment, connect
+from .geodesics import GeodesicSegment, _check_connectable, connect
 from .metrics import FinslerMetric, MagneticMetric, validate_field_strength
 from .tables import (
     BoundaryPoint,
@@ -40,7 +40,7 @@ from .tables import (
     project_to_boundary,
     random_boundary_point,
 )
-from .vectors import _norm, as_components
+from .vectors import _central_diff, _norm, as_components
 
 __all__ = [
     "CyclicPolygon",
@@ -61,10 +61,12 @@ _DISTINCT_REL = 1e-8
 _MIN_EDGE_REL = 1e-4
 _JAC_H_REL = 1e-6
 # Newton's lstsq cutoff, so the step ignores a critical manifold's null direction.  The
-# closed-form Jacobian of straight chords is exact to rounding; the central differences
-# taken for Larmor arcs, user Lagrangians and tables without a Hessian carry noise of
-# about eps / _JAC_H_REL = 2e-10 relative to |J|, and 1e-8 sits 50x above that and
-# above their h^2 truncation (1e-12).
+# built-in straight chords on an ellipsoid give a Jacobian exact to rounding.  Central
+# differences remain only per chord, for Larmor arcs and user Lagrangians, and in the
+# Hessian of a table without hess_phi.  Those of exact covectors or gradients carry
+# noise of about eps / _JAC_H_REL = 2e-10 relative to |J|, and 1e-8 sits 50x above
+# that and above their h^2 truncation (1e-12).  A user Lagrangian's _Lvv differences
+# its finite-difference DL, so its noise is larger, about 1e-4.
 _NEWTON_RCOND = 1e-8
 _EIG_TOL_REL = 1e-6
 _FAMILY_LAMBDA_REL = 1e-7  # a critical family has one critical value
@@ -193,11 +195,10 @@ class _Evaluation(NamedTuple):
     arriving: np.ndarray
 
 
-def _chord_covectors(metric: FinslerMetric, pts: np.ndarray, j: int):
-    """Departing and arriving Legendre covectors of chord j -> j+1."""
-    k = (j + 1) % pts.shape[0]
-    seg = connect(metric, pts[j], pts[k])
-    return metric._DL(pts[j], seg.start_tangent), metric._DL(pts[k], seg.end_tangent)
+def _chord_covectors(metric: FinslerMetric, x: np.ndarray, y: np.ndarray):
+    """Departing and arriving Legendre covectors of the chord x -> y."""
+    seg = connect(metric, x, y)
+    return metric._DL(x, seg.start_tangent), metric._DL(y, seg.end_tangent)
 
 
 def _grad_flat(metric: FinslerMetric, table: ConvexTable, pts: np.ndarray,
@@ -210,7 +211,7 @@ def _grad_flat(metric: FinslerMetric, table: ConvexTable, pts: np.ndarray,
     r, d = pts.shape
     departing, arriving = np.empty((r, d)), np.empty((r, d))
     for j in range(r):
-        departing[j], arriving[j] = _chord_covectors(metric, pts, j)
+        departing[j], arriving[j] = _chord_covectors(metric, pts[j], pts[(j + 1) % r])
     normals = [table._grad(p) for p in pts]
     if drops is None:
         drops = [_largest_axis(n) for n in normals]
@@ -336,13 +337,11 @@ def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
                 eig_tol: float | None = None) -> tuple[int, int]:
     """(index, degeneracy) of the chart Hessian of the cyclic length.
 
-    The chart Hessian is the symmetrised Newton Jacobian of the projected
-    gradient on boundary charts anchored at the polygon: in closed form for
-    the straight chords of the Euclidean, Minkowski and Riemannian metrics on
-    a table with a Hessian (every ellipsoid table), and by central differences
-    for Larmor arcs, user Lagrangians and tables without a Hessian.  Eigenvalues below
-    -eig_tol count toward the index, eigenvalues within eig_tol of zero are
-    reported as degeneracy.  Valid at critical points, where the chart
+    The chart Hessian is the symmetrised Newton Jacobian (``_jacobian``) of
+    the projected gradient on boundary charts anchored at the polygon, the
+    same for every metric and table.  Eigenvalues below -eig_tol count toward
+    the index, eigenvalues within eig_tol of zero are reported as
+    degeneracy.  Valid at critical points, where the chart
     curvature terms drop out.
     """
     pts = _points_array(polygon, table.dim)
@@ -352,7 +351,7 @@ def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
     if not _check_distinct(pts, scale):
         raise CoincidentPoints("consecutive vertices coincide within tolerance")
     base = _safe_grad(metric, table, pts, scale)
-    J = None if base is None else _jacobian(metric, table, pts, base, _JAC_H_REL * scale, scale)
+    J = None if base is None else _jacobian(metric, table, pts, base)
     if J is None:
         raise InvalidParameters("the chart Hessian is undefined at this polygon")
     eigs = np.linalg.eigvalsh(0.5 * (J + J.T))
@@ -375,85 +374,65 @@ def _safe_grad(metric, table, pts, scale) -> _Evaluation | None:
         return None
 
 
-def _fd_jacobian(metric, table, pts, base, h, scale):
-    """Central-difference Jacobian of the projected gradient; None if a probe fails.
+def _chord_derivatives(metric, pts, frames, j, h):
+    """Derivatives of chord j's departing and arriving covectors, each a (d, d-1) array.
 
-    ``base`` is ``_grad_flat`` of pts.  Column (i, k) moves vertex i by +-h
-    along base.frames[i][k], projected back onto the boundary.  The probe
-    gradients leave out the same frame axes as the base frames, so the frames
-    do not jump between probes where two normal components tie.  A probe
-    recomputes only what its moved vertex touches (chords i-1 and i, vertex
-    i's frame and rows i-1, i, i+1) and copies the rest from the base, so each
-    probe gradient equals ``_grad_flat(metric, table, probe, base.drops)``
-    bit for bit.
+    For the chord x_j -> x_k, k = j+1, returns (dep by x_j, dep by x_k, arr by
+    x_j, arr by x_k), column a moving x_j along frames[j][a] or x_k along
+    frames[k][a].  A straight chord's covectors are both DL of the chord
+    vector e_j = x_k - x_j, so with A = _Lvv(e_j) the blocks are -A F_j^T and
+    A F_k^T, DL and _Lvv taken independent of the base point.  A Larmor arc's
+    are central differences of ``_chord_covectors`` with step h, off the
+    boundary: the chart's curvature is second order and cancels.
     """
-    r, d = pts.shape
-    rows, frames = base.grad.reshape(r, d - 1), base.frames
-
-    def probe_grad(i, x):
-        probe = pts.copy()
-        probe[i] = x
-        if not _check_distinct(probe, scale):
-            return None
-        dep, arr = base.departing.copy(), base.arriving.copy()
-        try:
-            for j in ((i - 1) % r, i):
-                dep[j], arr[j] = _chord_covectors(metric, probe, j)
-            frame = orthonormal_complement(table._grad(x), base.drops[i])
-        except FinslerBilliardsError:
-            return None
-        out = rows.copy()
-        for j in {(i - 1) % r, i, (i + 1) % r}:
-            out[j] = (frame if j == i else frames[j]) @ (arr[j - 1] - dep[j])
-        return out.ravel()
-
-    n = r * (d - 1)
-    J = np.empty((n, n))
-    for i in range(r):
-        for k in range(d - 1):
-            try:
-                plus = project_to_boundary(table, pts[i] + h * frames[i][k]).position.components
-                minus = project_to_boundary(table, pts[i] - h * frames[i][k]).position.components
-            except FinslerBilliardsError:
-                return None
-            gp = probe_grad(i, plus)
-            gm = probe_grad(i, minus)
-            if gp is None or gm is None:
-                return None
-            J[:, i * (d - 1) + k] = (gp - gm) / (2.0 * h)
-    return J
+    k = (j + 1) % pts.shape[0]
+    x, y = pts[j], pts[k]
+    if metric.flat_geodesics:
+        A = metric._Lvv(x, y - x)
+        by_j, by_k = -A @ frames[j].T, A @ frames[k].T
+        return by_j, by_k, by_j, by_k
+    d = x.size
+    s0 = np.zeros(d - 1)
+    by_j = _central_diff(
+        lambda s: np.concatenate(_chord_covectors(metric, x + s @ frames[j], y)), s0, h)
+    by_k = _central_diff(
+        lambda s: np.concatenate(_chord_covectors(metric, x, y + s @ frames[k])), s0, h)
+    return by_j[:d], by_k[:d], by_j[d:], by_k[d:]
 
 
-def _chord_jacobian(metric, table, pts, base):
-    """Closed-form Jacobian of the projected gradient for straight chords.
+def _jacobian(metric, table, pts, base):
+    """Jacobian of the projected gradient at pts; None if a chord's derivative fails.
 
-    Row block i is the derivative of g_i = F_i c_i, with c_i = DL(e_{i-1}) - DL(e_i)
-    and chord e_j = x_{j+1} - x_j, as vertex x_i moves along its frame rows
-    (``_fd_jacobian``'s columns, up to the chart's O(h^2), which its central
-    differences cancel).  With A_j = _Lvv(e_j) the blocks are
+    ``base`` is ``_grad_flat`` of pts.  Row block i is the derivative of
+    g_i = F_i c_i, with c_i = arr_{i-1} - dep_i the difference of the Legendre
+    covectors at x_i, as each vertex x_j moves along its frame rows F_j.  With
+    the chord blocks of ``_chord_derivatives``,
 
-        J_{i,i+-1} = -F_i A F_{i+-1}^T, A that of the chord x_i and x_{i+-1} share,
-        J_ii = F_i (A_{i-1} + A_i) F_i^T + T_i,
+        J_{i,i-1} = F_i d arr_{i-1}/d x_{i-1},   J_{i,i+1} = -F_i d dep_i/d x_{i+1},
+        J_ii = F_i (d arr_{i-1}/d x_i - d dep_i/d x_i) + T_i,
 
-    where T_i is c_i against the frame's derivative.  [n, F_i^T] is the Q
-    factor of the QR factorisation [n, e_kept...] = QR, for the unit normal n
-    and the coordinate axes the frame keeps, and n moves by
-    Dn = (I - n n^T) H / |grad phi| with H the Hessian of phi.  The first row
-    of R^-1 is row ``drop`` of Q over n[drop], so with P = F_i H F_i^T / |grad phi|
-    and rho = F_i[:, drop] / n[drop],
+    where T_i is c_i against the frame's derivative, which depends on the table
+    alone.  [n, F_i^T] is the Q factor of the QR factorisation
+    [n, e_kept...] = QR, for the unit normal n and the coordinate axes the
+    frame keeps, and n moves by Dn = (I - n n^T) H / |grad phi| with H the
+    Hessian of phi.  The first row of R^-1 is row ``drop`` of Q over n[drop],
+    so with P = F_i H F_i^T / |grad phi| and rho = F_i[:, drop] / n[drop],
 
         T_i[a, k] = rho[a] sum_{b>a} g_b P[b, k] - P[a, k] (n.c_i + sum_{b<a} rho[b] g_b).
 
     Its n.c_i part is the second fundamental form weighted by the normal
     component of c_i; the rest is the frame's in-plane rotation, which
-    vanishes at critical points (g = 0).  DL and _Lvv are taken independent of
-    the base point, as for every metric whose geodesics are straight chords.
+    vanishes at critical points (g = 0).
     """
     r, d = pts.shape
     m = d - 1
-    chords = np.roll(pts, -1, axis=0) - pts
-    A = [metric._Lvv(pts[j], chords[j]) for j in range(r)]
-    rows, frames = base.grad.reshape(r, m), base.frames
+    frames = base.frames
+    h = _JAC_H_REL * table.scale
+    try:
+        chords = [_chord_derivatives(metric, pts, frames, j, h) for j in range(r)]
+    except FinslerBilliardsError:
+        return None
+    rows = base.grad.reshape(r, m)
     above = np.triu(np.ones((m, m)), 1)  # above[a, b] = 1 where b > a
     J = np.zeros((r * m, r * m))
     for i in range(r):
@@ -466,27 +445,15 @@ def _chord_jacobian(metric, table, pts, base):
         rho = F[:, drop] / nhat[drop]
         frame_term = (rho[:, None] * ((above * g) @ P)
                       - P * (float(nhat @ c) + above.T @ (rho * g))[:, None])
+        dep_i, dep_next, _, _ = chords[i]
+        _, _, arr_prev, arr_i = chords[i - 1]
         prev, nxt = (i - 1) % r, (i + 1) % r
         bi = slice(i * m, (i + 1) * m)
-        J[bi, bi] = F @ (A[prev] + A[i]) @ F.T + frame_term
-        # at r = 2, prev == nxt and both shared chords add into one block
-        J[bi, nxt * m:(nxt + 1) * m] -= F @ A[i] @ frames[nxt].T
-        J[bi, prev * m:(prev + 1) * m] -= F @ A[prev] @ frames[prev].T
+        J[bi, bi] = F @ (arr_i - dep_i) + frame_term
+        # at r = 2, prev == nxt and both neighbour blocks add into one
+        J[bi, nxt * m:(nxt + 1) * m] -= F @ dep_next
+        J[bi, prev * m:(prev + 1) * m] += F @ arr_prev
     return J
-
-
-def _jacobian(metric, table, pts, base, h, scale):
-    """Jacobian of the projected gradient at pts; None if it cannot be taken.
-
-    Closed form (``_chord_jacobian``) for straight chords of a metric with a
-    closed-form ``_Lvv`` on a table with a Hessian; central differences
-    (``_fd_jacobian``) for Larmor arcs, user Lagrangians and tables without
-    ``hess_phi``.
-    """
-    if (metric.flat_geodesics and type(metric)._Lvv is not FinslerMetric._Lvv
-            and table._hess_fn is not None):
-        return _chord_jacobian(metric, table, pts, base)
-    return _fd_jacobian(metric, table, pts, base, h, scale)
 
 
 def _retract(table, pts, frames, delta):
@@ -510,12 +477,11 @@ def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
     if ev is None:
         return None
     gn = _norm(ev.grad)
-    h = _JAC_H_REL * scale
 
     for _ in range(max_iter):
         if gn <= 1e-14 * scale:
             break
-        J = _jacobian(metric, table, pts, ev, h, scale)
+        J = _jacobian(metric, table, pts, ev)
         if J is None:
             break
         delta, *_ = np.linalg.lstsq(J, -ev.grad, rcond=_NEWTON_RCOND)
@@ -600,6 +566,7 @@ def find_critical(metric: FinslerMetric, table: ConvexTable, r: int,
     if metric.dim is not None and metric.dim != table.dim:
         raise InvalidParameters(
             f"metric dimension {metric.dim} does not match table dimension {table.dim}")
+    _check_connectable(metric)
     cfg = config or SearchConfig()
     params = cfg.resolved(table, r)
     scale = table.scale

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameters, NoConvergence, _check_int, _check_real
-from .vectors import Covector, Vector, _norm, as_components
+from .errors import InvalidParameters, NoConvergence, _check_int, _check_real, _check_reals
+from .vectors import Covector, Vector, _central_diff, _norm, as_components
 
 __all__ = [
     "BoundaryPoint",
@@ -38,6 +38,7 @@ BOUNDARY_TOL_REL = 1e-10
 # residual position error by h^2, so a loose projection pollutes spectra
 _PROJECT_TARGET_REL = 5e-16
 _PROJECT_MAX_ITER = 100
+_HESS_H_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ class ConvexTable:
         JSON-ready description of the table, kept for serialization.
     hess_phi : callable, optional
         Closed-form Hessian of ``phi``, returning a (dim, dim) ndarray.  The
-        search builds its Newton Jacobian from it for straight-chord metrics;
-        without it, the Jacobian is taken by central differences.
+        search's Newton Jacobian takes the boundary's curvature from it;
+        without it, ``_hess`` takes central differences of ``grad_phi``.
 
     ``_phi``/``_grad``/``_hess`` take unchecked float arrays (``_grad`` and
     ``_hess`` still check what the callables return); ``phi``/``grad`` check
@@ -80,13 +81,14 @@ class ConvexTable:
     def __init__(self, phi: Callable, grad_phi: Callable, bounding_radius: float,
                  dim: int, spec: dict | None = None, hess_phi: Callable | None = None):
         _check_int("table dimension", dim, 2)
-        if not (bounding_radius > 0 and math.isfinite(bounding_radius)):
+        radius = _check_real("bounding_radius", bounding_radius)
+        if not (radius > 0 and math.isfinite(radius)):
             raise InvalidParameters(
                 f"bounding_radius must be finite and positive, got {bounding_radius!r}")
         self._phi_fn = phi
         self._grad_fn = grad_phi
         self._hess_fn = hess_phi
-        self.bounding_radius = float(bounding_radius)
+        self.bounding_radius = radius
         self.dim = int(dim)
         self.spec = dict(spec) if spec else {"kind": "custom"}
         # centroid used by planar winding numbers; built-ins are centered
@@ -106,6 +108,9 @@ class ConvexTable:
         return g
 
     def _hess(self, x: np.ndarray) -> np.ndarray:
+        if self._hess_fn is None:
+            H = _central_diff(self._grad, x, _HESS_H_REL * self.scale)
+            return 0.5 * (H + H.T)
         H = np.asarray(self._hess_fn(x), dtype=float)
         if H.shape != (self.dim, self.dim):
             raise InvalidParameters("hess_phi returned a wrong shape")
@@ -179,14 +184,14 @@ def ellipsoid_table(semi_axes: Sequence[float], eps: float = 0.0,
     ``eps`` it breaks the coordinate reflection symmetries while keeping the
     sublevel set convex.
     """
-    a = np.asarray(list(semi_axes), dtype=float)
+    a = _check_reals("semi_axes entry", semi_axes)
     if a.ndim != 1 or a.size < 2 or not np.all((a > 0) & np.isfinite(a)):
         raise InvalidParameters("semi_axes must be >= 2 finite positive numbers")
     d = a.size
     if coeffs is None:
         c = np.ones(d)
     else:
-        c = np.asarray(list(coeffs), dtype=float)
+        c = _check_reals("perturbation coeffs entry", coeffs)
         if c.shape != (d,):
             raise InvalidParameters("perturbation coeffs must match the dimension")
         if not np.all(np.isfinite(c)):

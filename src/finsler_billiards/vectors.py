@@ -26,6 +26,19 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _central_diff(f, y: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of f at y along each coordinate axis.
+
+    Entry (or column, for a vector-valued f) j is (f(y + h e_j) - f(y - h e_j)) / 2h.
+    """
+    cols = []
+    for j in range(y.size):
+        e = np.zeros(y.size)
+        e[j] = h
+        cols.append((f(y + e) - f(y - e)) / (2.0 * h))
+    return np.stack(cols, axis=-1)
+
+
 def as_components(x, dim: int | None = None) -> np.ndarray:
     """Coerce a Vector, Covector or array-like to a float ndarray.
 

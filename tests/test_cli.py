@@ -116,6 +116,16 @@ def test_search_rejects_boolean_tolerance(tmp_path, capsys, key):
     assert f"{key} must be a finite number > 0, got True" in capsys.readouterr().err
 
 
+def test_search_rejects_non_finite_riemannian_tensor(tmp_path, capsys):
+    # json reads Infinity; the search used to run on NaN and exit with
+    # "invalid config (SVD did not converge in Linear Least Squares)"
+    metric = {"kind": "riemannian", "tensor": [[float("inf"), 0.0], [0.0, 1.0]]}
+    config = dict(DISK_SEARCH, metric=metric)
+    code = cli.main(["search", "--config", write_config(tmp_path, config)])
+    assert code == 1
+    assert capsys.readouterr().err == "error: metric tensor entries must be finite\n"
+
+
 @pytest.mark.parametrize("key,value", [
     ("r", 3.7), ("r", True), ("seeds", 2.9), ("seeds", "20"), ("rng_seed", 0.5),
     ("rng_seed", False), ("max_iter", True), ("max_iter", 60.5),

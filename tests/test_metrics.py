@@ -374,6 +374,17 @@ def test_metric_spec_errors():
         metric_from_spec({"kind": "minkowski"})
     with pytest.raises(InvalidParameters):
         metric_from_spec({"kind": "riemannian", "tensor": [[1.0, 2.0], [2.0, 1.0]]})
+    # inf was accepted, and "ab" raised a raw ValueError
+    for tensor, message in (
+        ([[float("inf"), 0.0], [0.0, 1.0]], "entries must be finite"),
+        ([[1.0, float("nan")], [float("nan"), 1.0]], "entries must be finite"),
+        ("ab", "entry must be a number"),
+        ([[1.0, "0"], ["0", 1.0]], "entry must be a number"),
+        ([[True, 0.0], [0.0, 1.0]], "entry must be a number"),
+        ([[1.0, 0.0], [0.0]], "entry must be a number"),
+    ):
+        with pytest.raises(InvalidParameters, match=message):
+            RiemannianMetric(tensor)
     for B in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(InvalidParameters, match="B must be finite"):
             metric_from_spec({"kind": "magnetic", "B": B})

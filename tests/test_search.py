@@ -201,8 +201,7 @@ def test_newton_jacobian_continuous_at_frame_tie(unit_circle):
     def spectrum(angles):
         metric, pts = EuclideanMetric(), circle_polygon(angles)
         base = fb.search._grad_flat(metric, unit_circle, pts)
-        J = fb.search._jacobian(metric, unit_circle, pts, base, 1e-6 * unit_circle.scale,
-                                unit_circle.scale)
+        J = fb.search._jacobian(metric, unit_circle, pts, base)
         J_ref, _ = reference_jacobian(metric, unit_circle, pts, 1e-6 * unit_circle.scale)
         assert np.max(np.abs(J - J_ref)) <= 1e-8 * np.max(np.abs(J_ref))
         return np.sort(np.linalg.eigvals(J).real)
@@ -247,26 +246,31 @@ JACOBIAN_METRICS = {
 }
 
 
-@pytest.mark.parametrize("r", [2, 3, 5])
-@pytest.mark.parametrize("kind", sorted(JACOBIAN_METRICS))
-def test_jacobian_probes_match_whole_polygon_gradients(kind, r, rng):
-    # each probe recomputes only the chords and frame its vertex touches
-    make_metric, semi_axes = JACOBIAN_METRICS[kind]
-    metric = make_metric()
-    table = fb.ellipsoid_table(semi_axes, eps=0.02)
-    h = 1e-6 * table.scale
-    for _ in range(3):
-        pts = random_polygon(table, r, rng)
-        base = fb.search._grad_flat(metric, table, pts)
-        J = fb.search._fd_jacobian(metric, table, pts, base, h, table.scale)
-        J_ref, frames_ref = reference_jacobian(metric, table, pts, h)
-        assert np.array_equal(J, J_ref)
-        assert all(np.array_equal(a, b) for a, b in zip(base.frames, frames_ref))
-
-
 def without_hessian(table):
     """The same boundary as a custom table, which supplies no Hessian."""
     return fb.ConvexTable(table._phi_fn, table._grad_fn, table.bounding_radius, table.dim)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+@pytest.mark.parametrize("kind", sorted(JACOBIAN_METRICS))
+def test_jacobian_probes_match_whole_polygon_gradients(kind, r, rng):
+    # the one Jacobian agrees with central differences of whole probe-polygon
+    # gradients, on a table with a closed-form Hessian and on one without.
+    # A user Lagrangian's _Lvv and the reference both difference a
+    # finite-difference DL, so they agree only to the reference's noise
+    # (about 1e-4 relative: it changes by that much from h to 2h)
+    make_metric, semi_axes = JACOBIAN_METRICS[kind]
+    metric = make_metric()
+    tol = 1e-3 if kind == "lagrangian" else 1e-8
+    ellipsoid = fb.ellipsoid_table(semi_axes, eps=0.02)
+    for table in (ellipsoid, without_hessian(ellipsoid)):
+        for _ in range(3):
+            pts = random_polygon(table, r, rng)
+            base = fb.search._grad_flat(metric, table, pts)
+            J = fb.search._jacobian(metric, table, pts, base)
+            J_ref, frames_ref = reference_jacobian(metric, table, pts, 1e-6 * table.scale)
+            assert all(np.array_equal(a, b) for a, b in zip(base.frames, frames_ref))
+            assert np.max(np.abs(J - J_ref)) <= tol * np.max(np.abs(J_ref))
 
 
 CLOSED_FORM_METRICS = {
@@ -291,7 +295,7 @@ def test_closed_form_jacobian_matches_central_differences(kind, semi_axes, r, rn
     for _ in range(3):
         pts = random_polygon(table, r, rng)
         base = fb.search._grad_flat(metric, table, pts)
-        J = fb.search._jacobian(metric, table, pts, base, h, table.scale)
+        J = fb.search._jacobian(metric, table, pts, base)
         J_ref, _ = reference_jacobian(metric, table, pts, h)
         assert np.max(np.abs(J - J_ref)) <= 1e-8 * np.max(np.abs(J_ref))
 
@@ -301,6 +305,10 @@ def test_closed_form_jacobian_matches_central_differences(kind, semi_axes, r, rn
     ("custom-table", False), ("flat-lagrangian", False), ("magnetic", False),
 ])
 def test_jacobian_path_follows_metric_and_table(case, closed_form, rng, monkeypatch):
+    # one assembly for every metric and table: straight chords connect no
+    # chord, a Larmor arc's central differences connect 4 (d - 1) per chord.
+    # Central differences run only where no closed form exists: a custom
+    # table's Hessian, a user Lagrangian's _Lvv, the arcs' covectors
     table = fb.ellipsoid_table([1.2, 1.0], eps=0.02)
     if case in CLOSED_FORM_METRICS:
         metric = CLOSED_FORM_METRICS[case](2)
@@ -311,26 +319,28 @@ def test_jacobian_path_follows_metric_and_table(case, closed_form, rng, monkeypa
                                   flat_geodesics=True)
     else:
         metric = MagneticMetric(0.3)
-    calls = []
-    for name in ("_chord_jacobian", "_fd_jacobian"):
-        def counted(*args, _name=name, _fn=getattr(fb.search, name)):
-            calls.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(fb.search, name, counted)
     pts = random_polygon(table, 3, rng)
     base = fb.search._grad_flat(metric, table, pts)
-    assert fb.search._jacobian(metric, table, pts, base, 1e-6 * table.scale,
-                               table.scale) is not None
-    assert calls == ["_chord_jacobian" if closed_form else "_fd_jacobian"]
+    calls = dict.fromkeys(["connect", "_central_diff"], 0)
+    for module, name in ((fb.search, "connect"), (fb.search, "_central_diff"),
+                         (fb.metrics, "_central_diff"), (fb.tables, "_central_diff")):
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    assert fb.search._jacobian(metric, table, pts, base) is not None
+    assert calls["connect"] == (0 if metric.flat_geodesics else 4 * 3 * (2 - 1))
+    assert (calls["_central_diff"] == 0) == closed_form
 
 
 def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
     # the line search's accepted evaluation is the Jacobian's base: each
-    # candidate costs one _grad_flat (r chords).  A closed-form Jacobian
-    # connects no chord; a central-difference one, here on a table without a
-    # Hessian, at r = 3, d = 3 connects only its 4 r (d - 1) = 24 probe chords
+    # candidate costs one _grad_flat (r chords).  The Jacobian of straight
+    # chords connects no chord and projects no point, with or without a
+    # closed-form Hessian of the table
     metric, table = EuclideanMetric(), fb.ellipsoid_table([1.0, 1.3, 1.7], eps=0.02)
-    calls = dict.fromkeys(["connect", "_grad_flat", "_retract", "_jacobian"], 0)
+    calls = dict.fromkeys(["connect", "project_to_boundary", "_grad_flat", "_retract",
+                           "_jacobian"], 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -342,17 +352,17 @@ def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
     for name in calls:
         monkeypatch.setattr(fb.search, name, counted(name, getattr(fb.search, name)))
     pts = random_polygon(table, 3, rng)
-    for table, probe_chords in ((table, 0), (without_hessian(table), 24)):
+    for table in (table, without_hessian(table)):
         calls.update(dict.fromkeys(calls, 0))
         base = fb.search._grad_flat(metric, table, pts)
-        fb.search._jacobian(metric, table, pts, base, 1e-6 * table.scale, table.scale)
-        assert (calls["connect"], calls["_grad_flat"]) == (3 + probe_chords, 1)
+        fb.search._jacobian(metric, table, pts, base)
+        assert (calls["connect"], calls["project_to_boundary"], calls["_grad_flat"]) == (3, 0, 1)
 
         calls.update(dict.fromkeys(calls, 0))
         assert fb.search._refine(metric, table, pts, 1e-9, table.scale, 60) is not None
         assert calls["_jacobian"] > 0
         assert calls["_grad_flat"] == 1 + calls["_retract"]
-        assert calls["connect"] == 3 * calls["_grad_flat"] + probe_chords * calls["_jacobian"]
+        assert calls["connect"] == 3 * calls["_grad_flat"]
 
 
 def test_norm_matches_numpy_bit_for_bit(rng):
@@ -371,6 +381,17 @@ def test_morse_index_rejects_coincident_vertices(unit_circle):
 
 # ---------------------------------------------------------------------------
 # the multistart search
+
+
+def test_search_rejects_a_metric_connect_cannot_build(unit_circle, monkeypatch):
+    # every seed's error used to be swallowed, so the search returned [];
+    # it is raised once, before any seed is drawn
+    seeded = []
+    monkeypatch.setattr(fb.search, "_random_seed", lambda *args: seeded.append(args))
+    metric = LagrangianMetric(lambda x, v: float(np.linalg.norm(v)), dim=2)
+    with pytest.raises(InvalidParameters, match="connect supports straight-chord metrics"):
+        find_critical(metric, unit_circle, 3, SearchConfig(seeds=4, rng_seed=0))
+    assert seeded == []
 
 
 def test_disk_search_finds_the_continuum(unit_circle, monkeypatch):

@@ -23,16 +23,19 @@ from finsler_billiards.tables import convexity_defect
 @pytest.mark.parametrize("semi_axes", [[1.2, 1.0], [1.0, 1.3, 1.7], [1.0, 1.3, 1.7, 0.9]],
                          ids=["d2", "d3", "d4"])
 def test_hessian_matches_central_differences_of_gradient(semi_axes, eps, rng):
+    # the closed form of ellipsoid_table, and the symmetrised central
+    # differences that a custom table without hess_phi falls back to
     table = ellipsoid_table(semi_axes, eps=eps, coeffs=rng.uniform(-1.0, 1.0, len(semi_axes)))
+    custom = ConvexTable(table._phi_fn, table._grad_fn, table.bounding_radius, table.dim)
     h = 1e-6
     for _ in range(10):
         x = rng.standard_normal(table.dim)
-        H = table._hess(x)
         fd = np.stack([(table._grad(x + h * e) - table._grad(x - h * e)) / (2.0 * h)
                        for e in np.eye(table.dim)], axis=1)
-        assert H.shape == (table.dim, table.dim)
-        assert np.array_equal(H, H.T)
-        assert np.max(np.abs(H - fd)) <= 1e-8 * max(1.0, np.max(np.abs(H)))
+        for H in (table._hess(x), custom._hess(x)):
+            assert H.shape == (table.dim, table.dim)
+            assert np.array_equal(H, H.T)
+            assert np.max(np.abs(H - fd)) <= 1e-8 * max(1.0, np.max(np.abs(H)))
 
 
 def test_projection_onto_unit_sphere(unit_sphere):
@@ -153,6 +156,23 @@ def test_spec_validation_errors():
         ellipsoid_table([1.0, 1.2], eps=0.01, coeffs=[1.0, float("inf")])
     with pytest.raises(InvalidParameters, match="bounding_radius"):
         ConvexTable(lambda x: float(x @ x) - 1.0, lambda x: 2.0 * x, float("inf"), 2)
+
+    # a string, a boolean or a non-sequence used to raise a raw TypeError or
+    # be read as 1.0
+    for bad in ("1", True):
+        with pytest.raises(InvalidParameters, match="bounding_radius must be a number"):
+            ConvexTable(lambda x: float(x @ x) - 1.0, lambda x: 2.0 * x, bad, 2)
+        with pytest.raises(InvalidParameters, match="semi_axes entry must be a number"):
+            ellipsoid_table([bad, 1.0])
+        with pytest.raises(InvalidParameters, match="coeffs entry must be a number"):
+            ellipsoid_table([1.0, 1.2], eps=0.01, coeffs=[bad, 1.0])
+    with pytest.raises(InvalidParameters, match="semi_axes"):
+        table_from_spec({"kind": "ellipsoid", "semi_axes": 2})
+    with pytest.raises(InvalidParameters, match="coeffs"):
+        table_from_spec({"kind": "ellipsoid", "semi_axes": [1.0, 1.2],
+                         "perturbation": {"eps": 0.01, "coeffs": 1.0}})
+    table = ellipsoid_table(np.array([1.0, 1.2]), eps=0.01, coeffs=(np.float64(1.0), 2))
+    assert table.spec["perturbation"]["coeffs"] == [1.0, 2.0]
 
 
 def test_boundary_point_rejects_interior(unit_sphere):
