@@ -38,7 +38,8 @@ class CoincidentPoints(InvalidParameters):
 
 
 class ChordTooLongForField(InvalidParameters):
-    """Endpoints farther apart than the Larmor diameter; no connecting arc."""
+    """Endpoints farther apart than the Larmor diameter (no connecting arc), or a
+    derivative asked at it, where the arc's length has a kink."""
 
 
 class SingularMass(FinslerBilliardsError):

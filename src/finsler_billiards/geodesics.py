@@ -57,11 +57,14 @@ def _rot90(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1], v[0]])
 
 
+def _turn(metric: MagneticMetric) -> float:
+    """Signed angular rate omega of flight circles, -1 (clockwise) for B > 0."""
+    return -1.0 if metric.B > 0 else 1.0
+
+
 def _circle_center(metric: MagneticMetric, p: np.ndarray, direction: np.ndarray, dist: float):
-    """Point dist from p on the turning side of the unit ``direction``, and the
-    signed angular rate omega of flight circles, -1 (clockwise) for B > 0.
-    """
-    omega = -1.0 if metric.B > 0 else 1.0
+    """Point dist from p on the turning side of the unit ``direction``, and ``_turn``."""
+    omega = _turn(metric)
     return p + omega * dist * _rot90(direction), omega
 
 
@@ -111,6 +114,35 @@ def _connect_magnetic(metric: MagneticMetric, x: np.ndarray, y: np.ndarray) -> G
         end_tangent=metric._unit(y, t_end),
         length=length, kind="arc",
     )
+
+
+def _arc_tangent_derivatives(metric: MagneticMetric, x: np.ndarray, y: np.ndarray):
+    """Derivatives by c = y - x of the unit end tangents of ``_connect_magnetic``'s arc.
+
+    With chat = c / |c|, s = |c| / 2R the sine of the half-sweep and k = q / R
+    its cosine, the tangents are u_x = k chat - omega s J chat and
+    u_y = k chat + omega s J chat, J the quarter turn.  With
+    P = (I - chat chat^T) / |c|, a (2, 2) array each,
+
+        du_x/dc, du_y/dc = k P - (s / 2Rk) chat chat^T -+ omega (s J P + J chat chat^T / 2R).
+
+    At the Larmor diameter (k = 0) the length has a kink and no derivative.
+    """
+    R = metric.larmor_radius
+    c = y - x
+    w = _norm(c)
+    chat = c / w
+    s = 0.5 * w / R
+    k = math.sqrt(max(1.0 - s * s, 0.0))
+    if k == 0.0:
+        raise ChordTooLongForField(f"|y - x| = {w} is the Larmor diameter {2.0 * R}")
+    omega = _turn(metric)
+    outer = np.outer(chat, chat)
+    P = (np.eye(2) - outer) / w
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])  # _rot90 as a matrix
+    even = k * P - (s / (2.0 * R * k)) * outer
+    odd = omega * (s * (J @ P) + (J @ outer) / (2.0 * R))
+    return even - odd, even + odd
 
 
 def connect(metric: FinslerMetric, x, y) -> GeodesicSegment:

@@ -30,7 +30,7 @@ from .errors import (
     ZeroWinding,
     _check_int,
 )
-from .geodesics import GeodesicSegment, _check_connectable, connect
+from .geodesics import GeodesicSegment, _arc_tangent_derivatives, _check_connectable, connect
 from .metrics import FinslerMetric, MagneticMetric, validate_field_strength
 from .tables import (
     BoundaryPoint,
@@ -40,7 +40,7 @@ from .tables import (
     project_to_boundary,
     random_boundary_point,
 )
-from .vectors import _central_diff, _norm, as_components
+from .vectors import _norm, as_components
 
 __all__ = [
     "CyclicPolygon",
@@ -59,14 +59,13 @@ __all__ = [
 
 _DISTINCT_REL = 1e-8
 _MIN_EDGE_REL = 1e-4
-_JAC_H_REL = 1e-6
-# Newton's lstsq cutoff, so the step ignores a critical manifold's null direction.  The
-# built-in straight chords on an ellipsoid give a Jacobian exact to rounding.  Central
-# differences remain only per chord, for Larmor arcs and user Lagrangians, and in the
-# Hessian of a table without hess_phi.  Those of exact covectors or gradients carry
-# noise of about eps / _JAC_H_REL = 2e-10 relative to |J|, and 1e-8 sits 50x above
-# that and above their h^2 truncation (1e-12).  A user Lagrangian's _Lvv differences
-# its finite-difference DL, so its noise is larger, about 1e-4.
+# Newton's lstsq cutoff, so the step ignores a critical manifold's null direction.  Every
+# built-in metric on an ellipsoid, straight chords and Larmor arcs, gives a Jacobian
+# exact to rounding.  Central differences remain only in a user Lagrangian's _Lvv and
+# in the Hessian of a table without hess_phi.  The table's, of an exact gradient at
+# h = 1e-6 x scale, carry noise of about eps / 1e-6 = 2e-10 relative to |J|, and 1e-8
+# sits 50x above that and above their h^2 truncation (1e-12).  A user Lagrangian's _Lvv
+# differences its finite-difference DL, so its noise is larger, about 1e-4.
 _NEWTON_RCOND = 1e-8
 _EIG_TOL_REL = 1e-6
 _FAMILY_LAMBDA_REL = 1e-7  # a critical family has one critical value
@@ -374,7 +373,7 @@ def _safe_grad(metric, table, pts, scale) -> _Evaluation | None:
         return None
 
 
-def _chord_derivatives(metric, pts, frames, j, h):
+def _chord_derivatives(metric, pts, frames, j):
     """Derivatives of chord j's departing and arriving covectors, each a (d, d-1) array.
 
     For the chord x_j -> x_k, k = j+1, returns (dep by x_j, dep by x_k, arr by
@@ -382,22 +381,21 @@ def _chord_derivatives(metric, pts, frames, j, h):
     frames[k][a].  A straight chord's covectors are both DL of the chord
     vector e_j = x_k - x_j, so with A = _Lvv(e_j) the blocks are -A F_j^T and
     A F_k^T, DL and _Lvv taken independent of the base point.  A Larmor arc's
-    are central differences of ``_chord_covectors`` with step h, off the
-    boundary: the chart's curvature is second order and cancels.
+    are DL(x, u) = u + alpha(x) of its unit end tangents u_x, u_y, which depend
+    on e_j alone (``_arc_tangent_derivatives``), so with A = _Lvy the constant
+    derivative of alpha the blocks are (A - du_x) F_j^T, du_x F_k^T,
+    -du_y F_j^T and (A + du_y) F_k^T.
     """
     k = (j + 1) % pts.shape[0]
     x, y = pts[j], pts[k]
+    Fj, Fk = frames[j].T, frames[k].T
     if metric.flat_geodesics:
         A = metric._Lvv(x, y - x)
-        by_j, by_k = -A @ frames[j].T, A @ frames[k].T
+        by_j, by_k = -A @ Fj, A @ Fk
         return by_j, by_k, by_j, by_k
-    d = x.size
-    s0 = np.zeros(d - 1)
-    by_j = _central_diff(
-        lambda s: np.concatenate(_chord_covectors(metric, x + s @ frames[j], y)), s0, h)
-    by_k = _central_diff(
-        lambda s: np.concatenate(_chord_covectors(metric, x, y + s @ frames[k])), s0, h)
-    return by_j[:d], by_k[:d], by_j[d:], by_k[d:]
+    du_x, du_y = _arc_tangent_derivatives(metric, x, y)
+    A = metric._Lvy(x, y - x)
+    return (A - du_x) @ Fj, du_x @ Fk, -du_y @ Fj, (A + du_y) @ Fk
 
 
 def _jacobian(metric, table, pts, base):
@@ -427,9 +425,8 @@ def _jacobian(metric, table, pts, base):
     r, d = pts.shape
     m = d - 1
     frames = base.frames
-    h = _JAC_H_REL * table.scale
     try:
-        chords = [_chord_derivatives(metric, pts, frames, j, h) for j in range(r)]
+        chords = [_chord_derivatives(metric, pts, frames, j) for j in range(r)]
     except FinslerBilliardsError:
         return None
     rows = base.grad.reshape(r, m)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameters
+from .errors import InvalidParameters, _check_reals
 
 __all__ = ["Vector", "Covector", "as_components"]
 
@@ -42,12 +42,16 @@ def _central_diff(f, y: np.ndarray, h: float) -> np.ndarray:
 def as_components(x, dim: int | None = None) -> np.ndarray:
     """Coerce a Vector, Covector or array-like to a float ndarray.
 
-    Raises InvalidParameters on non-finite entries or a dimension mismatch.
+    A numeric ndarray is converted as it is; anything else entry by entry, so a
+    string or a boolean raises.  Raises InvalidParameters on such an entry, on
+    non-finite entries or on a dimension mismatch.
     """
     if isinstance(x, (Vector, Covector)):
         a = x.components
-    else:
+    elif isinstance(x, np.ndarray) and x.dtype.kind in "fiu":
         a = np.asarray(x, dtype=float)
+    else:
+        a = _check_reals("coordinate", x)
     if a.ndim != 1:
         raise InvalidParameters(f"expected a 1-d coordinate array, got shape {a.shape}")
     if not np.isfinite(a).all():

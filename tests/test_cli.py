@@ -289,6 +289,21 @@ def test_float_fields_reject_strings_and_booleans(tmp_path, capsys, change, mess
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("change", [
+    {"metric": {"kind": "minkowski", "alpha": "ab"}},
+    {"metric": {"kind": "minkowski", "alpha": [0.1, "0.2"]}},
+    {"trace": dict(MAGNETIC_TRACE["trace"], start=["1.0", 0.0])},
+    {"trace": dict(MAGNETIC_TRACE["trace"], direction=[True, 0.6])},
+], ids=["alpha-string", "alpha-entry-string", "start-string", "direction-bool"])
+def test_coordinates_reject_strings_and_booleans(tmp_path, capsys, change):
+    # "0.2" and True used to be read as numbers, and "ab" to exit with
+    # "invalid config (could not convert string to float: 'ab')"
+    config = dict(MAGNETIC_TRACE, **change)
+    code = cli.main(["trace", "--config", write_config(tmp_path, config)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: coordinate must be a number")
+
+
 def test_mode_mismatch_rejected(tmp_path, capsys):
     code = cli.main(["trace", "--config", write_config(tmp_path, DISK_SEARCH)])
     assert code == 1

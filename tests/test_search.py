@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -282,14 +283,24 @@ CLOSED_FORM_METRICS = {
 }
 
 
+AXES = {"d2": [1.2, 1.0], "d3": [1.0, 1.3, 1.7], "d4": [1.0, 1.3, 1.7, 0.9]}
+# Larmor arcs exist in the plane only; each field sign turns the other way
+ARC_FIELDS = [0.3, -0.3, 0.8]
+CLOSED_FORM_CASES = [
+    pytest.param(CLOSED_FORM_METRICS[kind], axes, id=f"{kind}-{d}")
+    for kind in sorted(CLOSED_FORM_METRICS) for d, axes in AXES.items()
+] + [
+    pytest.param(lambda d, B=B: MagneticMetric(B), AXES["d2"], id=f"magnetic{B:+}-d2")
+    for B in ARC_FIELDS
+]
+
+
 @pytest.mark.parametrize("r", [2, 3, 5])
-@pytest.mark.parametrize("semi_axes", [[1.2, 1.0], [1.0, 1.3, 1.7], [1.0, 1.3, 1.7, 0.9]],
-                         ids=["d2", "d3", "d4"])
-@pytest.mark.parametrize("kind", sorted(CLOSED_FORM_METRICS))
-def test_closed_form_jacobian_matches_central_differences(kind, semi_axes, r, rng):
+@pytest.mark.parametrize("make_metric, semi_axes", CLOSED_FORM_CASES)
+def test_closed_form_jacobian_matches_central_differences(make_metric, semi_axes, r, rng):
     # the chart's O(h^2) terms cancel in the central difference, so the two
     # agree to its rounding noise, about 2e-10 relative
-    metric = CLOSED_FORM_METRICS[kind](len(semi_axes))
+    metric = make_metric(len(semi_axes))
     table = fb.ellipsoid_table(semi_axes, eps=0.02)
     h = 1e-6 * table.scale
     for _ in range(3):
@@ -301,14 +312,14 @@ def test_closed_form_jacobian_matches_central_differences(kind, semi_axes, r, rn
 
 
 @pytest.mark.parametrize("case, closed_form", [
-    ("euclidean", True), ("minkowski", True), ("riemannian", True),
-    ("custom-table", False), ("flat-lagrangian", False), ("magnetic", False),
+    ("euclidean", True), ("minkowski", True), ("riemannian", True), ("magnetic", True),
+    ("custom-table", False), ("flat-lagrangian", False),
 ])
 def test_jacobian_path_follows_metric_and_table(case, closed_form, rng, monkeypatch):
-    # one assembly for every metric and table: straight chords connect no
-    # chord, a Larmor arc's central differences connect 4 (d - 1) per chord.
-    # Central differences run only where no closed form exists: a custom
-    # table's Hessian, a user Lagrangian's _Lvv, the arcs' covectors
+    # one assembly for every metric and table, and no chord connected: straight
+    # chords and Larmor arcs both differentiate the base evaluation's chords in
+    # closed form.  Central differences run only where no closed form exists: a
+    # custom table's Hessian and a user Lagrangian's _Lvv
     table = fb.ellipsoid_table([1.2, 1.0], eps=0.02)
     if case in CLOSED_FORM_METRICS:
         metric = CLOSED_FORM_METRICS[case](2)
@@ -322,15 +333,27 @@ def test_jacobian_path_follows_metric_and_table(case, closed_form, rng, monkeypa
     pts = random_polygon(table, 3, rng)
     base = fb.search._grad_flat(metric, table, pts)
     calls = dict.fromkeys(["connect", "_central_diff"], 0)
-    for module, name in ((fb.search, "connect"), (fb.search, "_central_diff"),
-                         (fb.metrics, "_central_diff"), (fb.tables, "_central_diff")):
+    for module, name in ((fb.search, "connect"), (fb.metrics, "_central_diff"),
+                         (fb.tables, "_central_diff")):
         def counted(*args, _name=name, _fn=getattr(module, name)):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(module, name, counted)
     assert fb.search._jacobian(metric, table, pts, base) is not None
-    assert calls["connect"] == (0 if metric.flat_geodesics else 4 * 3 * (2 - 1))
+    assert calls["connect"] == 0
     assert (calls["_central_diff"] == 0) == closed_form
+
+
+def test_larmor_diameter_has_no_chart_hessian(unit_circle):
+    # a 2-gon across the unit circle at B = 1 is a Larmor diameter: the arc's
+    # length has a kink there (arcsin at 1), so no Hessian and no Jacobian
+    metric, pts = MagneticMetric(1.0), np.array([[1.0, 0.0], [-1.0, 0.0]])
+    base = fb.search._grad_flat(metric, unit_circle, pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fb.search._jacobian(metric, unit_circle, pts, base) is None
+        with pytest.raises(InvalidParameters, match="chart Hessian is undefined"):
+            morse_index(metric, unit_circle, pts)
 
 
 def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):

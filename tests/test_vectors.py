@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from finsler_billiards import Covector, InvalidParameters, Vector
+from finsler_billiards import Covector, EuclideanMetric, InvalidParameters, MinkowskiMetric, Vector
+from finsler_billiards.vectors import as_components
 
 
 def test_pairing_is_the_standard_contraction():
@@ -49,3 +50,20 @@ def test_nonfinite_rejected():
 def test_pairing_dimension_mismatch():
     with pytest.raises(InvalidParameters):
         Covector([1.0, 0.0])(Vector([1.0, 0.0, 0.0]))
+
+
+def test_coordinates_reject_strings_and_booleans():
+    # as_components used to convert "0.2" to 0.2 and True to 1.0, and to raise
+    # a raw ValueError for "ab"
+    for call in (lambda: MinkowskiMetric([0.1, "0.2"]),
+                 lambda: EuclideanMetric().lagrangian([0, 0], ["3", 4]),
+                 lambda: MinkowskiMetric("ab"),
+                 lambda: as_components([True, 0.0]),
+                 lambda: as_components(np.array([True, False])),
+                 lambda: as_components(np.array(["1", "2"]))):
+        with pytest.raises(InvalidParameters, match="coordinate must be a number"):
+            call()
+    assert EuclideanMetric().lagrangian([0, 0], [3, 4]) == 5.0
+    for x in ([1, 2.5], (1, np.float64(2.5)), np.array([1, 2]), np.array([1.0, 2.5])):
+        a = as_components(x, 2)
+        assert a.dtype == float and a.tolist() == [float(v) for v in x]
