@@ -266,47 +266,74 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
     """First boundary crossing of the forward flight; returns (point, tangent).
 
     A chord from inside a convex table crosses the boundary exactly once, so
-    [s_min, horizon] brackets it.  Only a magnetic arc, which can leave the
-    table and re-enter it, steps along the path to bracket the first sign
-    change of phi.  ``_bracketed_root`` then runs a safeguarded Newton on phi
-    from the bracket's outer end, evaluated once, until its step is at most
-    1e-14 * scale.
+    [s_min, 8 * scale] brackets it.  A magnetic arc can leave the table and
+    re-enter it, so ``_arc_exit`` steps along it from s_min; a Larmor circle
+    that has not met the boundary within one turn never will, so an arc's
+    horizon is at most 2 pi R.  ``_bracketed_root`` runs a safeguarded Newton
+    on phi from a bracket's outer end, evaluated once, until its step is at
+    most 1e-14 * scale.
     """
     path = _FlightPath(metric, start, direction)
     scale = table.scale
     s_min = _TMIN_REL * scale
-    step = scale / 64.0
+    xtol = 1e-14 * scale
     horizon = _HORIZON_RADII * scale
 
     def phi(s: float) -> tuple[float, float]:
         x = path.point(s)
         return table._phi(x), float(table._grad(x) @ path.tangent(s))
 
-    if table._phi(path.point(s_min)) >= 0.0:
-        raise GrazingDeparture("flight starts on or outside the boundary")
     if metric.flat_geodesics:
-        bracket = (s_min, horizon)
+        if table._phi(path.point(s_min)) >= 0.0:
+            raise GrazingDeparture("flight starts on or outside the boundary")
+        # this one evaluation of the outer end is both the bracket check and the
+        # root's first iterate
+        at_hi = phi(horizon)
+        if at_hi[0] < 0.0:
+            raise NoExit("no boundary crossing within the search horizon")
+        s_hit = _bracketed_root(phi, s_min, horizon, at_hi, xtol)
     else:
-        bracket = None
-        s_prev = s = s_min
-        while bracket is None and s < horizon:
-            # half-step probe guards against an arc exiting and re-entering
-            for s_next in (s + 0.5 * step, s + step):
-                if table._phi(path.point(s_next)) >= 0.0:
-                    bracket = (s_prev, s_next)
-                    break
-                s_prev = s_next
-            s += step
-    # for a chord this one evaluation of the outer end is both the bracket check and
-    # the root's first iterate
-    at_hi = None if bracket is None else phi(bracket[1])
-    if at_hi is None or at_hi[0] < 0.0:
-        raise NoExit("no boundary crossing within the search horizon")
-    s_hit = _bracketed_root(phi, *bracket, at_hi, 1e-14 * scale)
+        s_hit = _arc_exit(phi, table.derivative_bounds, metric.larmor_radius, s_min,
+                          min(horizon, 2.0 * math.pi * metric.larmor_radius), scale)
     p = path.point(s_hit)
     if abs(table._phi(p)) > 1e-10 * scale:
         raise NoConvergence("boundary crossing did not converge to tolerance")
     return p, path.tangent(s_hit)
+
+
+def _arc_exit(phi, bounds, radius: float, s: float, horizon: float, scale: float) -> float:
+    """Arc length of the first crossing of an arc from s, within horizon.
+
+    With the table's ``bounds`` (H, G), f = phi along the unit-speed arc of
+    curvature 1/radius has |f''| <= M = H + G / radius while the arc is in
+    the table.  So from s with f < 0 and slope f', no crossing lies in
+    [s, s + h), h = (-f' + sqrt(f'^2 - 2 M f)) / M: each step lands short of
+    the first crossing, and near a transversal one the gap shrinks
+    quadratically, until h <= 1e-14 * scale.  Without bounds the arc is
+    probed every scale/128.  A step that lands on or past the boundary, a
+    probe or a certified step that rounding carried over, closes a bracket.
+    """
+    xtol = 1e-14 * scale
+    f, df = phi(s)
+    if f >= 0.0:
+        raise GrazingDeparture("flight starts on or outside the boundary")
+    M = None if bounds is None else bounds[0] + bounds[1] / radius
+    while True:
+        if M is None:
+            step = scale / 128.0
+        else:
+            # the positive root of f + df h + M h^2 / 2, cancellation-free; f < 0
+            root = math.sqrt(df * df - 2.0 * M * f)
+            step = -2.0 * f / (df + root) if df > 0.0 else (root - df) / M
+            if step <= xtol:
+                return s + step
+        s_next = s + step
+        if s_next > horizon:
+            raise NoExit("no boundary crossing within the search horizon")
+        at_next = phi(s_next)
+        if at_next[0] >= 0.0:
+            return _bracketed_root(phi, s, s_next, at_next, xtol)
+        s, (f, df) = s_next, at_next
 
 
 def intersect_forward(metric: FinslerMetric, table: ConvexTable,

@@ -72,6 +72,11 @@ class ConvexTable:
         Closed-form Hessian of ``phi``, returning a (dim, dim) ndarray.  The
         search's Newton Jacobian takes the boundary's curvature from it;
         without it, ``_hess`` takes central differences of ``grad_phi``.
+    derivative_bounds : (float, float), optional
+        Upper bounds (H, G) of the spectral norm of the Hessian of ``phi`` and
+        of the norm of its gradient over the closed table.  A magnetic flight
+        takes certified steps to its boundary exit from them; without them it
+        probes ``phi`` at fixed steps along the arc.
 
     ``_phi``/``_grad``/``_hess`` take unchecked float arrays (``_grad`` and
     ``_hess`` still check what the callables return); ``phi``/``grad`` check
@@ -79,7 +84,8 @@ class ConvexTable:
     """
 
     def __init__(self, phi: Callable, grad_phi: Callable, bounding_radius: float,
-                 dim: int, spec: dict | None = None, hess_phi: Callable | None = None):
+                 dim: int, spec: dict | None = None, hess_phi: Callable | None = None,
+                 derivative_bounds: tuple[float, float] | None = None):
         _check_int("table dimension", dim, 2)
         radius = _check_real("bounding_radius", bounding_radius)
         if not (radius > 0 and math.isfinite(radius)):
@@ -88,6 +94,13 @@ class ConvexTable:
         self._phi_fn = phi
         self._grad_fn = grad_phi
         self._hess_fn = hess_phi
+        if derivative_bounds is not None:
+            bounds = _check_reals("derivative bound", derivative_bounds)
+            if bounds.shape != (2,) or not np.all((bounds > 0) & np.isfinite(bounds)):
+                raise InvalidParameters(
+                    f"derivative_bounds must be two finite positive numbers, got {derivative_bounds!r}")
+            derivative_bounds = (float(bounds[0]), float(bounds[1]))
+        self.derivative_bounds = derivative_bounds
         self.bounding_radius = radius
         self.dim = int(dim)
         self.spec = dict(spec) if spec else {"kind": "custom"}
@@ -183,6 +196,25 @@ def ellipsoid_table(semi_axes: Sequence[float], eps: float = 0.0,
     The perturbation is ``eps * sum(c_i x_i^3) / (1 + |x|^2)``; with small
     ``eps`` it breaks the coordinate reflection symmetries while keeping the
     sublevel set convex.
+
+    The table carries closed-form ``derivative_bounds`` (H, G).  Without the
+    bump, the Hessian of ``phi`` is diag(2/a_i^2) and its gradient 2x/a^2
+    has norm at most 2/a_min on the ellipsoid, so H = 2/a_min^2 and
+    G = 2/a_min.  With the bump b = sum(c_i x_i^3)/s, s = 1 + |x|^2, every
+    bound is taken over the ball of radius rho = ``bounding_radius`` with
+    s >= 1, k = max|c_i|, |sum c_i x_i^3| <= k |x|^3 and
+    |(c_i x_i^2)_i| <= k |x|^2:
+
+        grad b = 3 (c_i x_i^2)_i / s - 2 q x / s^2, q = sum c_i x_i^3,
+            so |grad b| <= k (3 rho^2 + 2 rho^4);
+        hess b = diag(6 c_i x_i) / s - 2 q I / s^2 - 2 (u x^T + x u^T) / s^2
+                 + 8 q x x^T / s^3, u = 3 (c_i x_i^2)_i,
+            so ||hess b|| <= k (6 rho + 2 rho^3 + 12 rho^3 + 8 rho^5),
+
+    and the quadratic part's gradient is at most 2 rho / a_min^2 there.
+    H and G add |eps| times these.  Like the magnetic field guard, these
+    bounds rely on the bounding-radius pad: that the bumped table lies
+    inside the ball of radius ``bounding_radius``.
     """
     a = _check_reals("semi_axes entry", semi_axes)
     if a.ndim != 1 or a.size < 2 or not np.all((a > 0) & np.isfinite(a)):
@@ -205,7 +237,14 @@ def ellipsoid_table(semi_axes: Sequence[float], eps: float = 0.0,
         spec["perturbation"] = {"eps": eps, "coeffs": [float(v) for v in c]}
     # cubic bump moves the surface by O(eps); pad the bounding radius
     radius = float(np.max(a)) * (1.0 + 2.0 * abs(eps)) + 1e-9
-    return ConvexTable(phi, grad, radius, d, spec, hess)
+    a_min = float(np.min(a))
+    if eps == 0.0:
+        bounds = (2.0 / a_min**2, 2.0 / a_min)
+    else:
+        ek, rho = abs(eps) * float(np.max(np.abs(c))), radius
+        bounds = (2.0 / a_min**2 + ek * (6.0 * rho + 14.0 * rho**3 + 8.0 * rho**5),
+                  2.0 * rho / a_min**2 + ek * (3.0 * rho**2 + 2.0 * rho**4))
+    return ConvexTable(phi, grad, radius, d, spec, hess, bounds)
 
 
 def table_from_spec(spec: dict) -> ConvexTable:

@@ -344,10 +344,87 @@ def test_intersect_rejects_grazing_and_outward(unit_circle):
         intersect_forward(EuclideanMetric(), unit_circle, y, [1.0, 0.1])
 
 
+def counting(table, bounds=True):
+    """``table`` rebuilt to count its phi calls, with or without its derivative bounds."""
+    calls = []
+
+    def phi(x):
+        calls.append(x)
+        return table._phi_fn(x)
+
+    rebuilt = fb.ConvexTable(phi, table._grad_fn, table.bounding_radius, table.dim, table.spec,
+                             table._hess_fn, table.derivative_bounds if bounds else None)
+    return rebuilt, calls
+
+
 def test_march_reports_no_exit_for_interior_larmor_circle():
     # a strong field bends the flight into a circle that never meets the
-    # boundary when launched from deep inside
-    table = fb.ellipsoid_table([0.9, 0.9])
+    # boundary when launched from deep inside; the flight stops after one turn
+    table, calls = counting(fb.ellipsoid_table([0.9, 0.9]))
     m = MagneticMetric(10.0)  # Larmor radius 0.1
     with pytest.raises(NoExit):
         _march_to_boundary(m, table, np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+    assert len(calls) <= 5
+
+
+def test_arc_that_skims_out_and_back_in_exits_first():
+    # the arc leaves the ellipse near (0.0075, 1.0) for about 3e-4 of arc
+    # length; probing every scale/128 stepped over that and returned the far
+    # side, (1.1877, 0.1428)
+    table = fb.ellipsoid_table([1.2, 1.0])
+    hit, _ = _march_to_boundary(MagneticMetric(0.8), table,
+                                np.array([-1.1736737352115914, 0.1772891645739486]),
+                                np.array([0.3418335484900072, 0.9397605147731681]))
+    assert np.allclose(hit, [0.0075026, 0.99998], atol=1e-6)
+
+
+def random_interior_flight(table, rng):
+    while True:
+        x = rng.uniform(-table.scale, table.scale, 2)
+        if table.phi(x) < -1e-3:
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            return x, np.array([np.cos(theta), np.sin(theta)])
+
+
+def arc_points(B, x, d, hit, fractions):
+    """Points of the Larmor arc from x in direction d, at fractions of its sweep to hit."""
+    R = 1.0 / abs(B)
+    c = larmor_center(B, x, d)
+    omega = -1.0 if B > 0 else 1.0
+    theta0 = np.arctan2(*(x - c)[::-1])
+    sweep = (omega * (np.arctan2(*(hit - c)[::-1]) - theta0)) % (2.0 * np.pi)
+    theta = theta0 + omega * sweep * fractions
+    return c + R * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+@pytest.mark.parametrize("B", [0.1, 0.8, -0.5])
+def test_certified_arc_exit_is_first_and_cheap(B, rng):
+    # certified steps from the table's derivative bounds: about 7 phi
+    # evaluations per flight where probing every scale/128 took over 100
+    table, calls = counting(fb.ellipsoid_table([1.2, 1.0]))
+    m = MagneticMetric(B)
+    counts = []
+    for _ in range(300):
+        x, d = random_interior_flight(table, rng)
+        calls.clear()
+        hit, tangent = _march_to_boundary(m, table, x, d)
+        counts.append(len(calls))
+        assert abs(table.phi(hit)) <= 1e-12 * table.scale
+        assert abs(np.linalg.norm(tangent) - 1.0) <= 1e-12
+        assert all(table.phi(p) < 0.0
+                   for p in arc_points(B, x, d, hit, np.linspace(0.005, 0.995, 200)))
+    assert np.mean(counts) <= 12
+    assert max(counts) <= 24
+
+
+def test_table_without_bounds_probes_to_the_same_arc_exit(rng):
+    table = fb.ellipsoid_table([1.2, 1.0])
+    certified, certified_calls = counting(table)
+    probed, probed_calls = counting(table, bounds=False)
+    m = MagneticMetric(0.8)
+    for _ in range(10):
+        x, d = random_interior_flight(certified, rng)
+        hit, _ = _march_to_boundary(m, probed, x, d)
+        assert np.linalg.norm(hit - _march_to_boundary(m, certified, x, d)[0]) <= 1e-12
+    # the probes every scale/128 took the other path
+    assert len(probed_calls) > 5 * len(certified_calls)

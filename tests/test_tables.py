@@ -38,6 +38,33 @@ def test_hessian_matches_central_differences_of_gradient(semi_axes, eps, rng):
             assert np.max(np.abs(H - fd)) <= 1e-8 * max(1.0, np.max(np.abs(H)))
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.02, 0.3])
+@pytest.mark.parametrize("semi_axes", [[1.2, 1.0], [1.0, 1.3, 1.7]], ids=["d2", "d3"])
+def test_derivative_bounds_dominate_sampled_points(semi_axes, eps, rng):
+    # (H, G) bound the Hessian's spectral norm and the gradient's norm at
+    # every point of the table; points are drawn in the bounding box
+    table = ellipsoid_table(semi_axes, eps=eps, coeffs=rng.uniform(-1.0, 1.0, len(semi_axes)))
+    H, G = table.derivative_bounds
+    rho = table.bounding_radius
+    inside = 0
+    while inside < 2000:
+        x = rng.uniform(-rho, rho, table.dim)
+        if table.phi(x) >= 0.0:
+            continue
+        inside += 1
+        assert np.linalg.norm(table._hess(x), 2) <= H
+        assert np.linalg.norm(table.grad(x)) <= G
+
+
+def test_derivative_bounds_are_checked():
+    circle = (lambda x: float(x @ x) - 1.0, lambda x: 2.0 * x, 1.0, 2)
+    assert ConvexTable(*circle).derivative_bounds is None
+    assert ConvexTable(*circle, derivative_bounds=[2, 2.0]).derivative_bounds == (2.0, 2.0)
+    for bad in ((2.0,), (2.0, 0.0), (float("inf"), 2.0), (2.0, float("nan")), ("2", 2.0)):
+        with pytest.raises(InvalidParameters, match="derivative"):
+            ConvexTable(*circle, derivative_bounds=bad)
+
+
 def test_projection_onto_unit_sphere(unit_sphere):
     bp = project_to_boundary(unit_sphere, [2.0, 0.0, 0.0])
     assert np.allclose(bp.position.components, [1.0, 0.0, 0.0], atol=1e-12)
