@@ -151,8 +151,11 @@ def connect(metric: FinslerMetric, x, y) -> GeodesicSegment:
     The distance is generally asymmetric: connect(m, x, y).length and
     connect(m, y, x).length differ for irreversible metrics.
     """
-    xa = as_components(x, metric.dim)
-    ya = as_components(y, metric.dim)
+    return _connect(metric, as_components(x, metric.dim), as_components(y, metric.dim))
+
+
+def _connect(metric: FinslerMetric, xa: np.ndarray, ya: np.ndarray) -> GeodesicSegment:
+    """``connect`` on unchecked float coordinates."""
     scale = 1.0 + max(_norm(xa), _norm(ya))
     if _norm(ya - xa) <= 1e-12 * scale:
         raise CoincidentPoints("geodesic endpoints coincide")

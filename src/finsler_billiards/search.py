@@ -30,13 +30,20 @@ from .errors import (
     ZeroWinding,
     _check_int,
 )
-from .geodesics import GeodesicSegment, _arc_tangent_derivatives, _check_connectable, connect
+from .geodesics import (
+    GeodesicSegment,
+    _arc_tangent_derivatives,
+    _check_connectable,
+    _connect,
+    connect,
+)
 from .metrics import FinslerMetric, MagneticMetric, validate_field_strength
 from .tables import (
     BoundaryPoint,
     ConvexTable,
     _largest_axis,
-    orthonormal_complement,
+    _project,
+    _unit_complement,
     project_to_boundary,
     random_boundary_point,
 )
@@ -196,25 +203,29 @@ class _Evaluation(NamedTuple):
 
 def _chord_covectors(metric: FinslerMetric, x: np.ndarray, y: np.ndarray):
     """Departing and arriving Legendre covectors of the chord x -> y."""
-    seg = connect(metric, x, y)
+    seg = _connect(metric, x, y)
     return metric._DL(x, seg.start_tangent), metric._DL(y, seg.end_tangent)
 
 
 def _grad_flat(metric: FinslerMetric, table: ConvexTable, pts: np.ndarray,
-               drops=None) -> _Evaluation:
+               drops=None, normals=None) -> _Evaluation:
     """Projected gradient of the cyclic length, with the frames and covectors behind it.
 
     Vertex i's tangent frame is ``orthonormal_complement`` of its normal,
     leaving out coordinate axis drops[i]; by default its largest axis.
+    ``normals`` are ``table._grad`` at the vertices, when the caller has them
+    (``_retract`` does).
     """
     r, d = pts.shape
     departing, arriving = np.empty((r, d)), np.empty((r, d))
     for j in range(r):
         departing[j], arriving[j] = _chord_covectors(metric, pts[j], pts[(j + 1) % r])
-    normals = [table._grad(p) for p in pts]
+    if normals is None:
+        normals = [table._grad(p) for p in pts]
+    nhats = [n / _norm(n) for n in normals]
     if drops is None:
-        drops = [_largest_axis(n) for n in normals]
-    frames = [orthonormal_complement(n, drop) for n, drop in zip(normals, drops)]
+        drops = [_largest_axis(nhat) for nhat in nhats]
+    frames = [_unit_complement(nhat, drop) for nhat, drop in zip(nhats, drops)]
     grad = np.concatenate([frames[i] @ (arriving[i - 1] - departing[i]) for i in range(r)])
     return _Evaluation(grad, normals, frames, drops, departing, arriving)
 
@@ -363,12 +374,12 @@ def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
 # multistart refinement
 
 
-def _safe_grad(metric, table, pts, scale) -> _Evaluation | None:
+def _safe_grad(metric, table, pts, scale, normals=None) -> _Evaluation | None:
     """``_grad_flat`` of a polygon with distinct consecutive vertices; None if it fails."""
     if not _check_distinct(pts, scale):
         return None
     try:
-        return _grad_flat(metric, table, pts)
+        return _grad_flat(metric, table, pts, normals=normals)
     except FinslerBilliardsError:
         return None
 
@@ -454,12 +465,15 @@ def _jacobian(metric, table, pts, base):
 
 
 def _retract(table, pts, frames, delta):
+    """Each vertex moved along its frame rows and projected; (points, their ``table._grad``)."""
     r, d = pts.shape
     s = delta.reshape(r, d - 1)
     out = np.empty_like(pts)
+    normals = []
     for i in range(r):
-        out[i] = project_to_boundary(table, pts[i] + s[i] @ frames[i]).position.components
-    return out
+        out[i], g = _project(table, pts[i] + s[i] @ frames[i])
+        normals.append(g)
+    return out, normals
 
 
 def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
@@ -489,11 +503,11 @@ def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
         accepted = False
         while t > 1e-12:
             try:
-                cand = _retract(table, pts, ev.frames, t * delta)
+                cand, normals = _retract(table, pts, ev.frames, t * delta)
             except FinslerBilliardsError:
                 t *= 0.5
                 continue
-            cand_ev = _safe_grad(metric, table, cand, scale)
+            cand_ev = _safe_grad(metric, table, cand, scale, normals)
             if cand_ev is not None:
                 gcn = _norm(cand_ev.grad)
                 if gcn < gn:

@@ -151,40 +151,65 @@ class ConvexTable:
 
 
 def _ellipsoid_fields(semi_axes: np.ndarray, eps: float, coeffs: np.ndarray):
+    """phi, grad and hess of ``ellipsoid_table``, component by component.
+
+    The per-component arithmetic runs on Python floats, which round as numpy's
+    elementwise operations do; the reductions (the dots and the cube) stay
+    numpy calls, whose results a Python sum or power does not reproduce.  So
+    each value is bit-identical to the vectorised formula it replaces:
+
+        phi  = x.(x/a^2) - 1 + eps q / s,   s = 1 + |x|^2, q = sum c_i x_i^3,
+        grad = 2 x/a^2 + eps (3 c x^2 / s - 2 q x / s^2),
+        hess = diag(2/a^2) + eps (diag(6 c x / s - 2 q / s^2)
+                                  - 2 (u x^T + x u^T) / s^2 + 8 q x x^T / s^3),
+
+    with u = 3 c x^2, each term evaluated left to right.
+    """
     inv2 = 1.0 / semi_axes**2
+    two_inv2 = 2.0 * inv2
+    d = semi_axes.size
 
     if eps == 0.0:
         def phi(x):
-            return float(x @ (inv2 * x) - 1.0)
+            return float(x.dot(inv2 * x)) - 1.0
 
         def grad(x):
-            return 2.0 * inv2 * x
+            return two_inv2 * x
 
         def hess(x):
-            return np.diag(2.0 * inv2)
+            return np.diag(two_inv2)
 
         return phi, grad, hess
 
+    quad = two_inv2.tolist()
+    three_c = (3.0 * coeffs).tolist()
+    six_c = (6.0 * coeffs).tolist()
+
     def phi(x):
-        s = float(x @ x)
-        cubic = float(coeffs @ x**3)
-        return float(x @ (inv2 * x) - 1.0 + eps * cubic / (1.0 + s))
+        s1 = 1.0 + float(x.dot(x))
+        return float(x.dot(inv2 * x)) - 1.0 + eps * float(coeffs.dot(x**3)) / s1
 
     def grad(x):
-        s = float(x @ x)
-        cubic = float(coeffs @ x**3)
-        quad = 2.0 * inv2 * x
-        dpert = 3.0 * coeffs * x**2 / (1.0 + s) - cubic * 2.0 * x / (1.0 + s) ** 2
-        return quad + eps * dpert
+        s1 = 1.0 + float(x.dot(x))
+        q2 = float(coeffs.dot(x**3)) * 2.0
+        s1sq = s1 ** 2
+        return np.array([a * v + eps * (c * (v * v) / s1 - q2 * v / s1sq)
+                         for a, c, v in zip(quad, three_c, x.tolist())])
 
     def hess(x):
-        s1 = 1.0 + float(x @ x)
-        cubic = float(coeffs @ x**3)
-        u = 3.0 * coeffs * x**2
-        dpert = (np.diag(6.0 * coeffs * x / s1 - 2.0 * cubic / s1**2)
-                 - 2.0 * (np.outer(u, x) + np.outer(x, u)) / s1**2
-                 + 8.0 * cubic * np.outer(x, x) / s1**3)
-        return np.diag(2.0 * inv2) + eps * dpert
+        s1 = 1.0 + float(x.dot(x))
+        cubic = float(coeffs.dot(x**3))
+        s1sq, s1cu = s1**2, s1**3
+        q2, q8 = 2.0 * cubic / s1sq, 8.0 * cubic
+        xs = x.tolist()
+        u = [c * (v * v) for c, v in zip(three_c, xs)]
+        H = np.empty((d, d))
+        for i, (ui, xi) in enumerate(zip(u, xs)):
+            for j, (uj, xj) in enumerate(zip(u, xs)):
+                diag = (six_c[i] * xi / s1 - q2) if i == j else 0.0
+                t = diag - 2.0 * (ui * xj + xi * uj) / s1sq + q8 * (xi * xj) / s1cu
+                H[i, j] = (quad[i] if i == j else 0.0) + eps * t
+        return H
 
     return phi, grad, hess
 
@@ -262,13 +287,11 @@ def table_from_spec(spec: dict) -> ConvexTable:
     return ellipsoid_table(spec["semi_axes"], eps=pert.get("eps", 0.0), coeffs=pert.get("coeffs"))
 
 
-def project_to_boundary(table: ConvexTable, x) -> BoundaryPoint:
-    """Retract a nearby point onto the boundary.
+def _project(table: ConvexTable, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``project_to_boundary`` on unchecked coordinates: (point, ``table._grad`` there).
 
-    Damped Newton root-following of ``phi`` along the local gradient
-    direction; raises NoConvergence after 100 iterations.
+    The point may be ``a`` itself when ``a`` is already on the boundary.
     """
-    a = np.array(as_components(x, table.dim))
     target = _PROJECT_TARGET_REL * table.scale
     accept = BOUNDARY_TOL_REL * table.scale
     f = table._phi(a)
@@ -276,7 +299,7 @@ def project_to_boundary(table: ConvexTable, x) -> BoundaryPoint:
         if abs(f) <= target:
             break
         g = table._grad(a)
-        g2 = float(g @ g)
+        g2 = float(g.dot(g))
         if g2 == 0.0:
             raise NoConvergence("gradient vanished during projection")
         step = -f / g2 * g
@@ -295,15 +318,24 @@ def project_to_boundary(table: ConvexTable, x) -> BoundaryPoint:
     if not abs(f) <= accept:  # also rejects NaN
         raise NoConvergence("projection did not reach boundary tolerance")
     g = table._grad(a)
-    gn = _norm(g)
-    if gn == 0.0:
+    if _norm(g) == 0.0:
         raise InvalidParameters("gradient vanishes at a boundary point")
-    return BoundaryPoint(Vector(a), Vector(g / gn))
+    return a, g
 
 
-def _largest_axis(n: np.ndarray) -> int:
-    """The axis that orthonormal_complement(n) drops by default."""
-    return int(np.argmax(np.abs(n / _norm(n))))
+def project_to_boundary(table: ConvexTable, x) -> BoundaryPoint:
+    """Retract a nearby point onto the boundary.
+
+    Damped Newton root-following of ``phi`` along the local gradient
+    direction; raises NoConvergence after 100 iterations.
+    """
+    a, g = _project(table, as_components(x, table.dim))
+    return BoundaryPoint(Vector(a), Vector(g / _norm(g)))
+
+
+def _largest_axis(nhat: np.ndarray) -> int:
+    """The axis that orthonormal_complement drops by default, for a unit normal nhat."""
+    return int(np.argmax(np.abs(nhat)))
 
 
 def orthonormal_complement(n: np.ndarray, drop: int | None = None) -> np.ndarray:
@@ -314,19 +346,27 @@ def orthonormal_complement(n: np.ndarray, drop: int | None = None) -> np.ndarray
     largest |n| component.
     """
     n = np.asarray(n, dtype=float)
-    d = n.size
     nhat = n / _norm(n)
     if drop is None:
-        drop = int(np.argmax(np.abs(nhat)))
+        drop = _largest_axis(nhat)
+    return _unit_complement(nhat, drop)
+
+
+def _unit_complement(nhat: np.ndarray, drop: int) -> np.ndarray:
+    """``orthonormal_complement``'s rows for a unit normal nhat.
+
+    Row j starts from e_j - nhat[j] nhat, the first Gram-Schmidt step on axis
+    j to the last bit, since e_j . nhat is exactly nhat[j]; it is 0.0 - p, not
+    -p, so that a zero product gives +0.0 as the subtraction from e_j does.
+    """
     rows = []
-    for j in range(d):
+    for j in range(nhat.size):
         if j == drop:
             continue
-        w = np.zeros(d)
-        w[j] = 1.0
-        w -= (w @ nhat) * nhat
+        w = 0.0 - nhat[j] * nhat
+        w[j] += 1.0
         for prev in rows:
-            w -= (w @ prev) * prev
+            w -= w.dot(prev) * prev
         nw = _norm(w)
         if nw < 1e-12:
             raise InvalidParameters("degenerate normal direction")

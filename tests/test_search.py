@@ -215,7 +215,7 @@ def test_newton_jacobian_continuous_at_frame_tie(unit_circle):
 def reference_jacobian(metric, table, pts, h):
     """The Jacobian loop that recomputes each whole probe polygon's gradient."""
     normals = [table._grad(p) for p in pts]
-    drops = [_largest_axis(n) for n in normals]
+    drops = [_largest_axis(n / np.linalg.norm(n)) for n in normals]
     frames = [orthonormal_complement(n, drop) for n, drop in zip(normals, drops)]
     r, d = pts.shape
     J = np.empty((r * (d - 1), r * (d - 1)))
@@ -360,14 +360,15 @@ def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
     # the line search's accepted evaluation is the Jacobian's base: each
     # candidate costs one _grad_flat (r chords).  The Jacobian of straight
     # chords connects no chord and projects no point, with or without a
-    # closed-form Hessian of the table
+    # closed-form Hessian of the table.  The loop calls the raw _connect and
+    # _project; the public entries only project the seed
     metric, table = EuclideanMetric(), fb.ellipsoid_table([1.0, 1.3, 1.7], eps=0.02)
-    calls = dict.fromkeys(["connect", "project_to_boundary", "_grad_flat", "_retract",
-                           "_jacobian"], 0)
+    calls = dict.fromkeys(["connect", "_connect", "project_to_boundary", "_project",
+                           "_grad_flat", "_retract", "_jacobian"], 0)
 
     def counted(name, fn):
-        def wrapper(*args):
-            out = fn(*args)
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
             calls[name] += 1  # after the call: a retraction that raises is no candidate
             return out
         return wrapper
@@ -379,13 +380,37 @@ def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         base = fb.search._grad_flat(metric, table, pts)
         fb.search._jacobian(metric, table, pts, base)
-        assert (calls["connect"], calls["project_to_boundary"], calls["_grad_flat"]) == (3, 0, 1)
+        connects = calls["connect"] + calls["_connect"]
+        projections = calls["project_to_boundary"] + calls["_project"]
+        assert (connects, projections, calls["_grad_flat"]) == (3, 0, 1)
 
         calls.update(dict.fromkeys(calls, 0))
         assert fb.search._refine(metric, table, pts, 1e-9, table.scale, 60) is not None
         assert calls["_jacobian"] > 0
         assert calls["_grad_flat"] == 1 + calls["_retract"]
-        assert calls["connect"] == 3 * calls["_grad_flat"]
+        assert calls["connect"] + calls["_connect"] == 3 * calls["_grad_flat"]
+        assert calls["project_to_boundary"] == 3  # the seed, once per vertex
+        assert calls["_project"] == 3 * calls["_retract"]
+
+
+def test_retracted_normals_give_the_evaluation_bit_for_bit(rng):
+    # _grad_flat on the normals _retract hands back equals _grad_flat that
+    # takes table._grad itself, and its frames are orthonormal_complement's
+    metric = MinkowskiMetric([0.2, -0.1, 0.05])
+    table = fb.ellipsoid_table([1.0, 1.3, 1.7], eps=0.02)
+    for _ in range(20):
+        pts = random_polygon(table, 3, rng)
+        ev = fb.search._grad_flat(metric, table, pts)
+        delta = 0.05 * rng.standard_normal(6)
+        cand, normals = fb.search._retract(table, pts, ev.frames, delta)
+        given = fb.search._grad_flat(metric, table, cand, normals=normals)
+        own = fb.search._grad_flat(metric, table, cand)
+        for field in ("grad", "departing", "arriving"):
+            assert getattr(given, field).tobytes() == getattr(own, field).tobytes()
+        assert given.drops == own.drops
+        for frame, n, p in zip(given.frames, normals, cand):
+            assert n.tobytes() == table._grad(p).tobytes()
+            assert frame.tobytes() == orthonormal_complement(n).tobytes()
 
 
 def test_norm_matches_numpy_bit_for_bit(rng):

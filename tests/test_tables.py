@@ -16,7 +16,7 @@ from finsler_billiards import (
     table_from_spec,
     tangent_basis,
 )
-from finsler_billiards.tables import convexity_defect
+from finsler_billiards.tables import _project, convexity_defect, orthonormal_complement
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.02], ids=["plain", "bumped"])
@@ -54,6 +54,101 @@ def test_derivative_bounds_dominate_sampled_points(semi_axes, eps, rng):
         inside += 1
         assert np.linalg.norm(table._hess(x), 2) <= H
         assert np.linalg.norm(table.grad(x)) <= G
+
+
+def reference_fields(semi_axes, eps, coeffs):
+    """The vectorised numpy formulas of the ellipsoid's phi, grad and hess."""
+    inv2 = 1.0 / semi_axes**2
+    if eps == 0.0:
+        return (lambda x: float(x @ (inv2 * x) - 1.0), lambda x: 2.0 * inv2 * x,
+                lambda x: np.diag(2.0 * inv2))
+
+    def phi(x):
+        s = float(x @ x)
+        cubic = float(coeffs @ x**3)
+        return float(x @ (inv2 * x) - 1.0 + eps * cubic / (1.0 + s))
+
+    def grad(x):
+        s = float(x @ x)
+        cubic = float(coeffs @ x**3)
+        quad = 2.0 * inv2 * x
+        dpert = 3.0 * coeffs * x**2 / (1.0 + s) - cubic * 2.0 * x / (1.0 + s) ** 2
+        return quad + eps * dpert
+
+    def hess(x):
+        s1 = 1.0 + float(x @ x)
+        cubic = float(coeffs @ x**3)
+        u = 3.0 * coeffs * x**2
+        dpert = (np.diag(6.0 * coeffs * x / s1 - 2.0 * cubic / s1**2)
+                 - 2.0 * (np.outer(u, x) + np.outer(x, u)) / s1**2
+                 + 8.0 * cubic * np.outer(x, x) / s1**3)
+        return np.diag(2.0 * inv2) + eps * dpert
+
+    return phi, grad, hess
+
+
+def reference_complement(n, drop):
+    """Gram-Schmidt of the coordinate axes but ``drop`` against the unit normal."""
+    nhat = n / np.linalg.norm(n)
+    rows = []
+    for j in range(n.size):
+        if j == drop:
+            continue
+        w = np.zeros(n.size)
+        w[j] = 1.0
+        w -= (w @ nhat) * nhat
+        for prev in rows:
+            w -= (w @ prev) * prev
+        rows.append(w / np.linalg.norm(w))
+    return np.array(rows)
+
+
+def sample_points(table, rng, count):
+    """Points inside, outside and on the boundary of the table."""
+    for _ in range(count):
+        on = project_to_boundary(table, rng.standard_normal(table.dim)).position.components
+        yield from (on, on * rng.uniform(0.2, 0.95), on * rng.uniform(1.05, 2.0))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.02, 0.3])
+@pytest.mark.parametrize("semi_axes", [[1.2, 1.0], [1.0, 1.3, 1.7], [1.0, 1.3, 1.7, 0.9]],
+                         ids=["d2", "d3", "d4"])
+def test_ellipsoid_fields_match_vectorised_formulas_bit_for_bit(semi_axes, eps, rng):
+    a, coeffs = np.array(semi_axes), rng.uniform(-1.0, 1.0, len(semi_axes))
+    table = ellipsoid_table(a, eps=eps, coeffs=coeffs)
+    phi, grad, hess = reference_fields(a, eps, coeffs)
+    for x in sample_points(table, rng, 300):
+        assert np.float64(table._phi(x)).tobytes() == np.float64(phi(x)).tobytes()
+        assert table._grad(x).tobytes() == grad(x).tobytes()
+        assert table._hess(x).tobytes() == hess(x).tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.02, 0.3])
+@pytest.mark.parametrize("semi_axes", [[1.2, 1.0], [1.0, 1.3, 1.7], [1.0, 1.3, 1.7, 0.9]],
+                         ids=["d2", "d3", "d4"])
+def test_raw_projection_returns_the_public_point_and_its_gradient(semi_axes, eps, rng):
+    table = ellipsoid_table(semi_axes, eps=eps, coeffs=rng.uniform(-1.0, 1.0, len(semi_axes)))
+    for x in sample_points(table, rng, 100):
+        point, g = _project(table, x)
+        bp = project_to_boundary(table, x)
+        assert point.tobytes() == bp.position.components.tobytes()
+        assert g.tobytes() == table._grad(bp.position.components).tobytes()
+        assert (g / np.linalg.norm(g)).tobytes() == bp.outward_normal.components.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_frame_rows_match_gram_schmidt_of_the_axes_bit_for_bit(d, rng):
+    # also normals with exact zero components, where a signed zero could differ
+    for k in range(3000):
+        n = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+        if k % 5 == 0:
+            n[rng.integers(d)] = 0.0
+        for drop in range(d):
+            if abs(n[drop]) < 1e-3 * np.linalg.norm(n):
+                continue  # the kept axes nearly span n: degenerate
+            assert orthonormal_complement(n, drop).tobytes() == reference_complement(n, drop).tobytes()
+        largest = int(np.argmax(np.abs(n)))
+        assert orthonormal_complement(n).tobytes() == reference_complement(n, largest).tobytes()
 
 
 def test_derivative_bounds_are_checked():
