@@ -7,6 +7,8 @@ radius.  All absolute tolerances in the package are stated relative to
 
 As for ``FinslerMetric``, the underscore ``_phi``/``_grad`` are the raw
 surface the kernels call; the public ``phi``/``grad`` check coordinates first.
+Likewise ``_project`` is the projection the search's Newton loop calls, and
+``project_to_boundary`` checks its argument before it.
 """
 
 from __future__ import annotations
@@ -156,7 +158,8 @@ def _ellipsoid_fields(semi_axes: np.ndarray, eps: float, coeffs: np.ndarray):
     The per-component arithmetic runs on Python floats, which round as numpy's
     elementwise operations do; the reductions (the dots and the cube) stay
     numpy calls, whose results a Python sum or power does not reproduce.  So
-    each value is bit-identical to the vectorised formula it replaces:
+    each value is bit-identical to the vectorised numpy formula (the reference
+    in ``tests/test_tables.py``):
 
         phi  = x.(x/a^2) - 1 + eps q / s,   s = 1 + |x|^2, q = sum c_i x_i^3,
         grad = 2 x/a^2 + eps (3 c x^2 / s - 2 q x / s^2),
