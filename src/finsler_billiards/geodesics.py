@@ -34,6 +34,7 @@ __all__ = ["GeodesicSegment", "connect", "integrate_geodesic", "intersect_forwar
 
 _TMIN_REL = 1e-6
 _HORIZON_RADII = 8.0
+_COINCIDENT_REL = 1e-12  # endpoints closer than this x (1 + their largest norm) coincide
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ def connect(metric: FinslerMetric, x, y) -> GeodesicSegment:
 def _connect(metric: FinslerMetric, xa: np.ndarray, ya: np.ndarray) -> GeodesicSegment:
     """``connect`` on unchecked float coordinates."""
     scale = 1.0 + max(_norm(xa), _norm(ya))
-    if _norm(ya - xa) <= 1e-12 * scale:
+    if _norm(ya - xa) <= _COINCIDENT_REL * scale:
         raise CoincidentPoints("geodesic endpoints coincide")
     if metric.flat_geodesics:
         u = metric._unit(xa, ya - xa)

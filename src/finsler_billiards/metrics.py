@@ -57,6 +57,7 @@ _FD_H_REL = 1e-6
 _BRACKET_CAP = 1e3
 _DROP_XTOL = 1e-12
 _ROOT_MAX_ITER = 100
+_ZERO_DIRECTION = 1e-14  # _unit's smallest direction norm
 
 
 def _bracketed_root(f, lo: float, hi: float, at_hi: tuple[float, float], xtol: float) -> float:
@@ -170,7 +171,7 @@ class FinslerMetric:
         return _central_diff(lambda w: self._L(x, w), v, h)
 
     def _unit(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if _norm(v) < 1e-14:
+        if _norm(v) < _ZERO_DIRECTION:
             raise ZeroVector("cannot normalize a zero direction")
         val = self._L(x, v)
         if not val > 0.0:

@@ -31,19 +31,29 @@ from .errors import (
     _check_int,
 )
 from .geodesics import (
+    _COINCIDENT_REL,
     GeodesicSegment,
     _arc_tangent_derivatives,
     _check_connectable,
     _connect,
     connect,
 )
-from .metrics import FinslerMetric, MagneticMetric, validate_field_strength
+from .metrics import (
+    _ZERO_DIRECTION,
+    EuclideanMetric,
+    FinslerMetric,
+    MagneticMetric,
+    MinkowskiMetric,
+    validate_field_strength,
+)
 from .tables import (
     BoundaryPoint,
     ConvexTable,
     _largest_axis,
     _project,
+    _project_rows,
     _unit_complement,
+    _unit_complement_rows,
     project_to_boundary,
     random_boundary_point,
 )
@@ -74,6 +84,8 @@ _MIN_EDGE_REL = 1e-4
 # sits 50x above that and above their h^2 truncation (1e-12).  A user Lagrangian's _Lvv
 # differences its finite-difference DL, so its noise is larger, about 1e-4.
 _NEWTON_RCOND = 1e-8
+# the Newton line search's step lengths t = 2^-k > 1e-12, in the order it tries them
+_STEP_LENGTHS = tuple(0.5**k for k in range(40))
 _EIG_TOL_REL = 1e-6
 _FAMILY_LAMBDA_REL = 1e-7  # a critical family has one critical value
 
@@ -476,6 +488,126 @@ def _retract(table, pts, frames, delta):
     return out, normals
 
 
+def _randers_covector_rows(metric, P, E, chord):
+    """``_chord_covectors`` of every chord of an (n, r, d) stack, for Euclidean or Minkowski.
+
+    E and chord are the chord vectors P[:, j+1] - P[:, j] and their norms.
+    Returns (covectors, ok), with ok[k] False where a chord of polygon k
+    raises.  With ``_connect``'s coincidence check and the float operations of
+    ``_unit`` and ``_DL`` for a constant drift alpha: L = |e| + alpha.e,
+    u = e / L and D = u / |u| + alpha, which is both the departing and the
+    arriving covector.
+    """
+    r = P.shape[1]
+    alpha = metric.alpha_at(P[0, 0])
+    norms = np.sqrt(np.vecdot(P, P))
+    reach = 1.0 + np.maximum(norms, norms[:, np.arange(1, r + 1) % r])
+    L = chord + np.vecdot(E, alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):  # on chords that fail
+        u = E / L[..., None]
+        un = np.sqrt(np.vecdot(u, u))
+        D = u / un[..., None] + alpha
+    ok = (~(chord <= _COINCIDENT_REL * reach) & ~(chord < _ZERO_DIRECTION)
+          & (L > 0.0) & ~(un == 0.0)).all(axis=1)
+    return D, ok
+
+
+def _evaluate_stack(metric, table, pts, frames, steps, scale, bound=0.0):
+    """``_retract`` and then ``_safe_grad`` of pts moved by each row of steps.
+
+    Returns the candidate polygons, an ``_Evaluation`` whose fields carry the
+    candidate as a leading axis (drops an (n, r) array), and each candidate's
+    |g|, inf where ``_retract`` raises or ``_safe_grad`` returns None.  Every
+    value of a candidate that passes is the scalar pair's to the last bit.
+    Euclidean and Minkowski chords are one stack (``_randers_covector_rows``).
+    Any other metric connects the chords through ``_chord_covectors``, one
+    candidate at a time in row order, and stops after the first whose |g| is
+    below bound; the rows after it read inf.
+    """
+    n = steps.shape[0]
+    r, d = pts.shape
+    s = steps.reshape(n, r, d - 1)
+    moved = np.empty((n, r, d))
+    for i in range(r):
+        # a (1, d-1) row per candidate: _retract's vector-matrix product
+        moved[:, i] = pts[i] + np.matmul(s[:, i:i + 1], frames[i])[:, 0]
+    P, N, ok = _project_rows(table, moved.reshape(n * r, d))
+    P, N = P.reshape(n, r, d), N.reshape(n, r, d)
+    ok = ok.reshape(n, r).all(axis=1)
+    prev = np.arange(-1, r - 1)  # the chord arriving at each vertex
+    # rows that already failed may divide by zero; their results are masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        E = P[:, np.arange(1, r + 1) % r] - P
+        chord = np.sqrt(np.vecdot(E, E))
+        ok &= ~(chord <= _DISTINCT_REL * scale).any(axis=1)
+        nhat = N / np.sqrt(np.vecdot(N, N))[..., None]
+        F, drops, frames_ok = _unit_complement_rows(nhat.reshape(n * r, d))
+        F = F.reshape(n, r, d - 1, d)
+        ok &= frames_ok.reshape(n, r).all(axis=1)
+        if isinstance(metric, (EuclideanMetric, MinkowskiMetric)):
+            departing, chords_ok = _randers_covector_rows(metric, P, E, chord)
+            arriving = departing
+            ok &= chords_ok
+            G = np.matmul(F, (arriving[:, prev] - departing)[..., None]).reshape(n, -1)
+            gn = np.sqrt(np.vecdot(G, G))
+        else:
+            departing, arriving = np.zeros((n, r, d)), np.zeros((n, r, d))
+            G, gn = np.zeros((n, r * (d - 1))), np.full(n, np.inf)
+            for k in np.flatnonzero(ok):
+                try:
+                    for j in range(r):
+                        departing[k, j], arriving[k, j] = _chord_covectors(
+                            metric, P[k, j], P[k, (j + 1) % r])
+                except FinslerBilliardsError:
+                    ok[k] = False
+                    continue
+                G[k] = np.matmul(F[k], (arriving[k, prev] - departing[k])[..., None]).ravel()
+                gn[k] = _norm(G[k])
+                if gn[k] < bound:
+                    break
+    gn[~ok] = np.inf
+    return P, _Evaluation(G, N, F, drops.reshape(n, r), departing, arriving), gn
+
+
+def _line_search(metric, table, pts, ev, gn, delta, scale, halvings):
+    """The first step t = 2^-k > 1e-12, in t order, whose candidate has |g| < gn.
+
+    Returns (points, evaluation, |g|, k), or None if no step does: the
+    candidate that halving t from 1 one step at a time accepts.  The steps go
+    in groups.  The first group holds halvings + 1 of them, the previous
+    Newton step's count, and each later group twice as many as the one before.
+    A lone step goes through ``_retract`` and ``_safe_grad``; a larger group is
+    evaluated as one stack (``_evaluate_stack``).
+    """
+    k, size = 0, halvings + 1
+    while k < len(_STEP_LENGTHS):
+        ts = _STEP_LENGTHS[k:k + size]
+        if len(ts) == 1:
+            try:
+                cand, normals = _retract(table, pts, ev.frames, ts[0] * delta)
+            except FinslerBilliardsError:
+                cand_ev = None
+            else:
+                cand_ev = _safe_grad(metric, table, cand, scale, normals)
+            if cand_ev is not None:
+                gcn = _norm(cand_ev.grad)
+                if gcn < gn:
+                    return cand, cand_ev, gcn, k
+        else:
+            P, stack, gns = _evaluate_stack(metric, table, pts, ev.frames,
+                                            np.multiply.outer(ts, delta), scale, gn)
+            lower = np.flatnonzero(gns < gn)
+            if lower.size:
+                j = int(lower[0])
+                cand_ev = _Evaluation(stack.grad[j], list(stack.normals[j]),
+                                      list(stack.frames[j]), stack.drops[j].tolist(),
+                                      stack.departing[j], stack.arriving[j])
+                return P[j], cand_ev, float(gns[j]), k + j
+        k += len(ts)
+        size = 2 * len(ts)
+    return None
+
+
 def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
     """Damped Newton on the projected-gradient system; None if it fails."""
     try:
@@ -489,6 +621,7 @@ def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
         return None
     gn = _norm(ev.grad)
 
+    halvings = 0
     for _ in range(max_iter):
         if gn <= 1e-14 * scale:
             break
@@ -499,24 +632,10 @@ def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
         dn = _norm(delta)
         if dn > 0.5 * scale:
             delta *= 0.5 * scale / dn
-        t = 1.0
-        accepted = False
-        while t > 1e-12:
-            try:
-                cand, normals = _retract(table, pts, ev.frames, t * delta)
-            except FinslerBilliardsError:
-                t *= 0.5
-                continue
-            cand_ev = _safe_grad(metric, table, cand, scale, normals)
-            if cand_ev is not None:
-                gcn = _norm(cand_ev.grad)
-                if gcn < gn:
-                    pts, ev, gn = cand, cand_ev, gcn
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
+        step = _line_search(metric, table, pts, ev, gn, delta, scale, halvings)
+        if step is None:
             break
+        pts, ev, gn, halvings = step
     if gn <= grad_tol:
         return pts, gn
     return None

@@ -8,7 +8,10 @@ radius.  All absolute tolerances in the package are stated relative to
 As for ``FinslerMetric``, the underscore ``_phi``/``_grad`` are the raw
 surface the kernels call; the public ``phi``/``grad`` check coordinates first.
 Likewise ``_project`` is the projection the search's Newton loop calls, and
-``project_to_boundary`` checks its argument before it.
+``project_to_boundary`` checks its argument before it.  ``_project_rows`` and
+``_unit_complement_rows`` run ``_project`` and the tangent frames over the rows
+of an array, bit for bit the per-row calls, for the line search's stacked
+candidates.
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameters, NoConvergence, _check_int, _check_real, _check_reals
+from .errors import (
+    FinslerBilliardsError,
+    InvalidParameters,
+    NoConvergence,
+    _check_int,
+    _check_real,
+    _check_reals,
+)
 from .vectors import Covector, Vector, _central_diff, _norm, as_components
 
 __all__ = [
@@ -40,7 +50,9 @@ BOUNDARY_TOL_REL = 1e-10
 # residual position error by h^2, so a loose projection pollutes spectra
 _PROJECT_TARGET_REL = 5e-16
 _PROJECT_MAX_ITER = 100
+_PROJECT_MIN_STEP = 1e-6
 _HESS_H_REL = 1e-6
+_DEGENERATE_FRAME = 1e-12
 
 
 @dataclass(frozen=True)
@@ -84,6 +96,10 @@ class ConvexTable:
     ``_hess`` still check what the callables return); ``phi``/``grad`` check
     coordinates, as in FinslerMetric.
     """
+
+    # (phi, grad) over the rows of an (n, dim) array, bit for bit ``_phi``/``_grad``
+    # of each row; set by built-in tables only (``ellipsoid_table``)
+    _row_fields: tuple[Callable, Callable] | None = None
 
     def __init__(self, phi: Callable, grad_phi: Callable, bounding_radius: float,
                  dim: int, spec: dict | None = None, hess_phi: Callable | None = None,
@@ -217,6 +233,43 @@ def _ellipsoid_fields(semi_axes: np.ndarray, eps: float, coeffs: np.ndarray):
     return phi, grad, hess
 
 
+def _ellipsoid_rows(semi_axes: np.ndarray, eps: float, coeffs: np.ndarray):
+    """``_ellipsoid_fields``'s phi and grad over the rows of an (n, d) array.
+
+    Row i's value is bit-identical to the per-point kernel at row i:
+    ``np.vecdot`` runs each row's dot as ``ndarray.dot`` does, ``X**3`` rounds
+    as ``x**3``, the elementwise operations are the same in the same order,
+    and ``s1**2`` stays Python's power, which a numpy square does not
+    reproduce.
+    """
+    inv2 = 1.0 / semi_axes**2
+    two_inv2 = 2.0 * inv2
+
+    if eps == 0.0:
+        def phi(X):
+            return np.vecdot(X, inv2 * X) - 1.0
+
+        def grad(X):
+            return two_inv2 * X
+
+        return phi, grad
+
+    three_c = 3.0 * coeffs
+
+    def phi(X):
+        s1 = 1.0 + np.vecdot(X, X)
+        return np.vecdot(X, inv2 * X) - 1.0 + eps * np.vecdot(coeffs, X**3) / s1
+
+    def grad(X):
+        s1 = 1.0 + np.vecdot(X, X)
+        q2 = np.vecdot(coeffs, X**3) * 2.0
+        s1sq = np.array([v ** 2 for v in s1.tolist()])
+        return two_inv2 * X + eps * (three_c * (X * X) / s1[:, None]
+                                     - q2[:, None] * X / s1sq[:, None])
+
+    return phi, grad
+
+
 def ellipsoid_table(semi_axes: Sequence[float], eps: float = 0.0,
                     coeffs: Sequence[float] | None = None) -> ConvexTable:
     """Ellipsoid ``sum x_i^2/a_i^2 = 1`` with an optional smooth cubic bump.
@@ -272,7 +325,9 @@ def ellipsoid_table(semi_axes: Sequence[float], eps: float = 0.0,
         ek, rho = abs(eps) * float(np.max(np.abs(c))), radius
         bounds = (2.0 / a_min**2 + ek * (6.0 * rho + 14.0 * rho**3 + 8.0 * rho**5),
                   2.0 * rho / a_min**2 + ek * (3.0 * rho**2 + 2.0 * rho**4))
-    return ConvexTable(phi, grad, radius, d, spec, hess, bounds)
+    table = ConvexTable(phi, grad, radius, d, spec, hess, bounds)
+    table._row_fields = _ellipsoid_rows(a, eps, c)
+    return table
 
 
 def table_from_spec(spec: dict) -> ConvexTable:
@@ -308,7 +363,7 @@ def _project(table: ConvexTable, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         step = -f / g2 * g
         t = 1.0
         improved = False
-        while t > 1e-6:
+        while t > _PROJECT_MIN_STEP:
             cand = a + t * step
             fc = table._phi(cand)
             if abs(fc) < abs(f):
@@ -324,6 +379,67 @@ def _project(table: ConvexTable, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     if _norm(g) == 0.0:
         raise InvalidParameters("gradient vanishes at a boundary point")
     return a, g
+
+
+def _project_rows(table: ConvexTable, A: np.ndarray):
+    """``_project`` of each row of an (n, d) array: (points, gradients, ok).
+
+    Where ``_project`` returns, row i of points and gradients is its result to
+    the last bit.  Where it raises, ok[i] is False and gradient row i is zero:
+    a gradient that vanishes during the iteration, a final residual above the
+    acceptance tolerance (NaN included), or a vanishing final gradient.  With
+    the table's row kernels the rows run the damped Newton in lockstep, each
+    with the scalar iteration's values, halvings and stops; a table without
+    them projects row by row.
+    """
+    points = np.array(A, dtype=float)
+    grads = np.zeros_like(points)
+    ok = np.ones(points.shape[0], dtype=bool)
+    if table._row_fields is None:
+        for i, a in enumerate(points):
+            try:
+                points[i], grads[i] = _project(table, a)
+            except FinslerBilliardsError:
+                ok[i] = False
+        return points, grads, ok
+    phi, grad = table._row_fields
+    target = _PROJECT_TARGET_REL * table.scale
+    accept = BOUNDARY_TOL_REL * table.scale
+    f = phi(points)
+    live = np.arange(points.shape[0])  # rows still iterating
+    for _ in range(_PROJECT_MAX_ITER):
+        live = live[~(np.abs(f[live]) <= target)]
+        if live.size == 0:
+            break
+        g = grad(points[live])
+        g2 = np.vecdot(g, g)
+        vanished = g2 == 0.0
+        if vanished.any():
+            ok[live[vanished]] = False
+            live, g, g2 = live[~vanished], g[~vanished], g2[~vanished]
+        a, fa = points[live], f[live]
+        step = (-fa / g2)[:, None] * g
+        improved = np.zeros(live.size, dtype=bool)
+        pending = np.arange(live.size)  # rows of a still halving
+        t = 1.0
+        while t > _PROJECT_MIN_STEP and pending.size:
+            cand = a[pending] + t * step[pending]
+            fc = phi(cand)
+            better = np.abs(fc) < np.abs(fa[pending])
+            hit = pending[better]
+            a[hit], fa[hit] = cand[better], fc[better]
+            improved[hit] = True
+            pending = pending[~better]
+            t *= 0.5
+        points[live], f[live] = a, fa
+        live = live[improved]  # a row that did not improve is at its noise floor
+    ok &= np.abs(f) <= accept
+    done = np.flatnonzero(ok)
+    g = grad(points[done])
+    nonzero = np.vecdot(g, g) != 0.0
+    grads[done[nonzero]] = g[nonzero]
+    ok[done[~nonzero]] = False
+    return points, grads, ok
 
 
 def project_to_boundary(table: ConvexTable, x) -> BoundaryPoint:
@@ -371,10 +487,35 @@ def _unit_complement(nhat: np.ndarray, drop: int) -> np.ndarray:
         for prev in rows:
             w -= w.dot(prev) * prev
         nw = _norm(w)
-        if nw < 1e-12:
+        if nw < _DEGENERATE_FRAME:
             raise InvalidParameters("degenerate normal direction")
         rows.append(w / nw)
     return np.array(rows)
+
+
+def _unit_complement_rows(nhat: np.ndarray):
+    """``_unit_complement`` of each row of an (n, d) array of unit normals.
+
+    Each row drops its largest axis, as ``orthonormal_complement`` does by
+    default.  Returns (frames, drops, ok): frames[i] is the (d-1, d) frame of
+    row i to the last bit, drops[i] its dropped axis, and ok[i] is False where
+    the scalar frame raises.
+    """
+    n, d = nhat.shape
+    at = np.arange(n)
+    drops = np.argmax(np.abs(nhat), axis=1)
+    ok = np.ones(n, dtype=bool)
+    rows = []
+    for k in range(d - 1):
+        j = k + (k >= drops)  # row i's k-th kept axis
+        w = 0.0 - nhat[at, j][:, None] * nhat
+        w[at, j] += 1.0
+        for prev in rows:
+            w -= np.vecdot(w, prev)[:, None] * prev
+        nw = np.sqrt(np.vecdot(w, w))
+        ok &= ~(nw < _DEGENERATE_FRAME)
+        rows.append(w / nw[:, None])
+    return np.stack(rows, axis=1), drops, ok
 
 
 def tangent_basis(y: BoundaryPoint) -> list[Vector]:

@@ -357,19 +357,27 @@ def test_larmor_diameter_has_no_chart_hessian(unit_circle):
 
 
 def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
-    # the line search's accepted evaluation is the Jacobian's base: each
-    # candidate costs one _grad_flat (r chords).  The Jacobian of straight
+    # the line search's accepted evaluation is the Jacobian's base.  A lone
+    # full step costs one _retract and one _grad_flat (r chords); a group of
+    # several steps is one _evaluate_stack, which projects through
+    # _project_rows and connects no straight chord.  The Jacobian of straight
     # chords connects no chord and projects no point, with or without a
     # closed-form Hessian of the table.  The loop calls the raw _connect and
     # _project; the public entries only project the seed
     metric, table = EuclideanMetric(), fb.ellipsoid_table([1.0, 1.3, 1.7], eps=0.02)
     calls = dict.fromkeys(["connect", "_connect", "project_to_boundary", "_project",
-                           "_grad_flat", "_retract", "_jacobian"], 0)
+                           "_project_rows", "_grad_flat", "_retract", "_jacobian",
+                           "_line_search", "_evaluate_stack"], 0)
+    rows = dict.fromkeys(["_project_rows", "_evaluate_stack"], 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             out = fn(*args, **kwargs)
             calls[name] += 1  # after the call: a retraction that raises is no candidate
+            if name == "_project_rows":
+                rows[name] += args[1].shape[0]
+            if name == "_evaluate_stack":
+                rows[name] += args[4].shape[0]
             return out
         return wrapper
 
@@ -385,17 +393,24 @@ def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
         assert (connects, projections, calls["_grad_flat"]) == (3, 0, 1)
 
         calls.update(dict.fromkeys(calls, 0))
+        rows.update(dict.fromkeys(rows, 0))
         assert fb.search._refine(metric, table, pts, 1e-9, table.scale, 60) is not None
-        assert calls["_jacobian"] > 0
+        assert calls["_jacobian"] == calls["_line_search"] > 0
+        assert calls["_evaluate_stack"] > 0
         assert calls["_grad_flat"] == 1 + calls["_retract"]
         assert calls["connect"] + calls["_connect"] == 3 * calls["_grad_flat"]
         assert calls["project_to_boundary"] == 3  # the seed, once per vertex
         assert calls["_project"] == 3 * calls["_retract"]
+        assert calls["_project_rows"] == calls["_evaluate_stack"]
+        assert rows["_project_rows"] == 3 * rows["_evaluate_stack"]
+        # a stack holds at least two step lengths, a lone step exactly one
+        assert rows["_evaluate_stack"] >= 2 * calls["_evaluate_stack"]
 
 
 def test_retracted_normals_give_the_evaluation_bit_for_bit(rng):
     # _grad_flat on the normals _retract hands back equals _grad_flat that
-    # takes table._grad itself, and its frames are orthonormal_complement's
+    # takes table._grad itself, and its frames are orthonormal_complement's.
+    # The stacked evaluation of the same step gives the same evaluation
     metric = MinkowskiMetric([0.2, -0.1, 0.05])
     table = fb.ellipsoid_table([1.0, 1.3, 1.7], eps=0.02)
     for _ in range(20):
@@ -405,12 +420,216 @@ def test_retracted_normals_give_the_evaluation_bit_for_bit(rng):
         cand, normals = fb.search._retract(table, pts, ev.frames, delta)
         given = fb.search._grad_flat(metric, table, cand, normals=normals)
         own = fb.search._grad_flat(metric, table, cand)
+        P, stack, gns = fb.search._evaluate_stack(metric, table, pts, ev.frames,
+                                                  np.array([delta, 0.5 * delta]), table.scale)
+        assert P[0].tobytes() == cand.tobytes()
+        assert np.float64(gns[0]).tobytes() == np.float64(_norm(own.grad)).tobytes()
         for field in ("grad", "departing", "arriving"):
             assert getattr(given, field).tobytes() == getattr(own, field).tobytes()
-        assert given.drops == own.drops
-        for frame, n, p in zip(given.frames, normals, cand):
-            assert n.tobytes() == table._grad(p).tobytes()
-            assert frame.tobytes() == orthonormal_complement(n).tobytes()
+            assert getattr(stack, field)[0].tobytes() == getattr(own, field).tobytes()
+        assert given.drops == own.drops == stack.drops[0].tolist()
+        for frame, n, p, row, n_row in zip(given.frames, normals, cand, stack.frames[0],
+                                           stack.normals[0]):
+            assert n.tobytes() == table._grad(p).tobytes() == n_row.tobytes()
+            assert frame.tobytes() == orthonormal_complement(n).tobytes() == row.tobytes()
+
+
+def polygon_stack(table, rng, count):
+    """Random polygons, with a coincident and a near-coincident pair of vertices."""
+    P = np.array([random_polygon(table, 3, rng) for _ in range(count)])
+    P[1, 1] = P[1, 0]
+    P[2, 2] = P[2, 1] + 1e-13
+    return P
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "minkowski"])
+def test_stacked_covectors_match_the_chord_covectors_bit_for_bit(kind, rng):
+    # the constant-drift chords as one stack; a polygon fails where a chord
+    # raises.  Other metrics loop over _chord_covectors (see the stacked
+    # candidates below)
+    make_metric, semi_axes = JACOBIAN_METRICS[kind]
+    metric, table = make_metric(), fb.ellipsoid_table(semi_axes, eps=0.02)
+    P = polygon_stack(table, rng, 8)
+    E = np.roll(P, -1, axis=1) - P
+    D, ok = fb.search._randers_covector_rows(metric, P, E, np.sqrt(np.vecdot(E, E)))
+    for k, pts in enumerate(P):
+        try:
+            pairs = [fb.search._chord_covectors(metric, pts[j], pts[(j + 1) % 3])
+                     for j in range(3)]
+        except fb.FinslerBilliardsError:
+            assert not ok[k]
+            continue
+        assert ok[k]
+        assert np.array([p[0] for p in pairs]).tobytes() == D[k].tobytes()
+        assert np.array([p[1] for p in pairs]).tobytes() == D[k].tobytes()
+    assert not ok[1] and not ok[2] and ok[0]
+
+
+STACK_CASES = [
+    pytest.param(CLOSED_FORM_METRICS[kind], axes, eps, id=f"{kind}-{d}-eps{eps}")
+    for kind in sorted(CLOSED_FORM_METRICS) for d, axes in AXES.items()
+    for eps in (0.0, 0.02, 0.3)
+] + [
+    pytest.param(lambda d: MagneticMetric(0.3), AXES["d2"], eps, id=f"magnetic-d2-eps{eps}")
+    for eps in (0.0, 0.02, 0.3)
+] + [
+    pytest.param(lambda d: LagrangianMetric(cubic_norm, dim=3, flat_geodesics=True),
+                 AXES["d3"], eps, id=f"lagrangian-d3-eps{eps}")
+    for eps in (0.0, 0.02, 0.3)
+]
+
+
+def check_stack(metric, table, pts, ev, steps):
+    """_evaluate_stack against _retract + _safe_grad row by row; returns the failures."""
+    scale = table.scale
+    P, stack, gns = fb.search._evaluate_stack(metric, table, pts, ev.frames, steps, scale)
+    failed = 0
+    for k, step in enumerate(steps):
+        try:
+            cand, normals = fb.search._retract(table, pts, ev.frames, step)
+        except fb.FinslerBilliardsError:
+            cand_ev = None
+        else:
+            cand_ev = fb.search._safe_grad(metric, table, cand, scale, normals)
+        if cand_ev is None:
+            assert gns[k] == np.inf
+            failed += 1
+            continue
+        assert P[k].tobytes() == cand.tobytes()
+        assert np.float64(gns[k]).tobytes() == np.float64(_norm(cand_ev.grad)).tobytes()
+        for field in ("grad", "departing", "arriving"):
+            assert getattr(stack, field)[k].tobytes() == getattr(cand_ev, field).tobytes()
+        assert np.array(cand_ev.normals).tobytes() == stack.normals[k].tobytes()
+        assert np.array(cand_ev.frames).tobytes() == stack.frames[k].tobytes()
+        assert cand_ev.drops == stack.drops[k].tolist()
+    # chords connected one by one stop at the first row below the bound
+    _, _, first = fb.search._evaluate_stack(metric, table, pts, ev.frames, steps, scale, np.inf)
+    j = np.argmax(np.isfinite(gns))
+    assert first[:j + 1].tobytes() == gns[:j + 1].tobytes()
+    assert all(a in (b, np.inf) for a, b in zip(first[j + 1:], gns[j + 1:]))
+    return failed
+
+
+@pytest.mark.parametrize("make_metric, semi_axes, eps", STACK_CASES)
+def test_stacked_candidates_match_retract_and_safe_grad_bit_for_bit(make_metric, semi_axes,
+                                                                    eps, rng):
+    # every row of a stack is the scalar candidate to the last bit, on a table
+    # with row kernels and on a custom one without; a NaN step fails in the
+    # projection, and a polygon with coincident vertices stays coincident
+    metric = make_metric(len(semi_axes))
+    ellipsoid = fb.ellipsoid_table(semi_axes, eps=eps)
+    m = 3 * (len(semi_axes) - 1)
+    for table in (ellipsoid, without_hessian(ellipsoid)):
+        for _ in range(2):
+            pts = random_polygon(table, 3, rng)
+            ev = fb.search._grad_flat(metric, table, pts)
+            steps = np.multiply.outer(fb.search._STEP_LENGTHS[:8], 0.3 * rng.standard_normal(m))
+            steps[3, 0] = np.nan
+            assert check_stack(metric, table, pts, ev, steps) >= 1
+        pts = random_polygon(table, 3, rng)
+        pts[1] = pts[0]
+        normals = [table._grad(p) for p in pts]
+        frames = [orthonormal_complement(n) for n in normals]
+        ev = fb.search._Evaluation(None, normals, frames, None, None, None)
+        step = np.tile(0.01 * rng.standard_normal(len(semi_axes) - 1), 3)
+        assert check_stack(metric, table, pts, ev, np.multiply.outer([1.0, 0.5], step)) == 2
+
+
+def reference_refine(metric, table, seed_pts, grad_tol, scale, max_iter):
+    """The Newton loop with the sequential line search that halves t from 1 one step at a time.
+
+    Returns (_refine's result, the most halvings of an accepted step, whether
+    the loop ran out of max_iter).
+    """
+    search = fb.search
+    try:
+        pts = np.array([fb.project_to_boundary(table, p).position.components for p in seed_pts])
+    except fb.FinslerBilliardsError:
+        return None, 0, False
+    ev = search._safe_grad(metric, table, pts, scale)
+    if ev is None:
+        return None, 0, False
+    gn = _norm(ev.grad)
+    most, exhausted = 0, False
+    for _ in range(max_iter):
+        if gn <= 1e-14 * scale:
+            break
+        J = search._jacobian(metric, table, pts, ev)
+        if J is None:
+            break
+        delta, *_ = np.linalg.lstsq(J, -ev.grad, rcond=search._NEWTON_RCOND)
+        dn = _norm(delta)
+        if dn > 0.5 * scale:
+            delta *= 0.5 * scale / dn
+        t, halvings = 1.0, 0
+        accepted = False
+        while t > 1e-12:
+            try:
+                cand, normals = search._retract(table, pts, ev.frames, t * delta)
+            except fb.FinslerBilliardsError:
+                t *= 0.5
+                halvings += 1
+                continue
+            cand_ev = search._safe_grad(metric, table, cand, scale, normals)
+            if cand_ev is not None:
+                gcn = _norm(cand_ev.grad)
+                if gcn < gn:
+                    pts, ev, gn = cand, cand_ev, gcn
+                    accepted = True
+                    break
+            t *= 0.5
+            halvings += 1
+        if not accepted:
+            break
+        most = max(most, halvings)
+    else:
+        exhausted = True
+    return ((pts, gn) if gn <= grad_tol else None), most, exhausted
+
+
+def search_seeds(metric, table, r, rng_seed, count):
+    """The first seeds that find_critical draws at rng_seed."""
+    rng, scale = np.random.default_rng(rng_seed), table.scale
+    seeds = []
+    while len(seeds) < count:
+        if len(seeds) % 2 == 0:
+            cand = fb.search._random_seed(table, r, rng, scale)
+        else:
+            cand = fb.search._trace_seed(metric, table, r, rng, scale)
+        if cand is not None:
+            seeds.append(cand)
+    return seeds
+
+
+REFINE_CASES = {
+    # the drift config: seed 8 runs out of max_iter after a 21-halving step, seed 10
+    # halves 8 times in one step
+    "drift3d": (MinkowskiMetric([0.2, 0.0, 0.0]),
+                fb.ellipsoid_table([1.0, 1.3, 1.7], eps=0.02, coeffs=[1.0, 1.0, 1.0]), 11),
+    "magnetic2d": (MagneticMetric(0.1), fb.ellipsoid_table([1.2, 1.0]), 4),
+    "disk": (EuclideanMetric(), fb.ellipsoid_table([1.0, 1.0]), 4),
+    "riemannian": (CLOSED_FORM_METRICS["riemannian"](3), fb.ellipsoid_table(AXES["d3"], eps=0.3), 4),
+    "custom-table": (MinkowskiMetric([0.2, 0.0, 0.0]),
+                     without_hessian(fb.ellipsoid_table([1.0, 1.3, 1.7], eps=0.02)), 4),
+}
+
+
+def test_refine_matches_the_sequential_line_search():
+    # the stacked line search accepts the candidate the sequential one does,
+    # so _refine returns the same bytes, or None, on every seed
+    most, exhausted = 0, 0
+    for metric, table, count in REFINE_CASES.values():
+        for seed_pts in search_seeds(metric, table, 3, 0, count):
+            ref, halvings, ran_out = reference_refine(metric, table, seed_pts, 1e-9,
+                                                      table.scale, 60)
+            out = fb.search._refine(metric, table, seed_pts, 1e-9, table.scale, 60)
+            assert (out is None) == (ref is None)
+            if out is not None:
+                assert out[0].tobytes() == ref[0].tobytes()
+                assert np.float64(out[1]).tobytes() == np.float64(ref[1]).tobytes()
+            most, exhausted = max(most, halvings), exhausted + ran_out
+    assert most >= 8
+    assert exhausted >= 1
 
 
 def test_norm_matches_numpy_bit_for_bit(rng):

@@ -6,6 +6,7 @@ import pytest
 from finsler_billiards import (
     ConvexTable,
     EuclideanMetric,
+    FinslerBilliardsError,
     InvalidParameters,
     MinkowskiMetric,
     SearchConfig,
@@ -16,7 +17,16 @@ from finsler_billiards import (
     table_from_spec,
     tangent_basis,
 )
-from finsler_billiards.tables import _project, convexity_defect, orthonormal_complement
+from finsler_billiards.tables import (
+    _largest_axis,
+    _project,
+    _project_rows,
+    _unit_complement,
+    _unit_complement_rows,
+    convexity_defect,
+    orthonormal_complement,
+)
+from finsler_billiards.vectors import _norm
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.02], ids=["plain", "bumped"])
@@ -149,6 +159,102 @@ def test_frame_rows_match_gram_schmidt_of_the_axes_bit_for_bit(d, rng):
             assert orthonormal_complement(n, drop).tobytes() == reference_complement(n, drop).tobytes()
         largest = int(np.argmax(np.abs(n)))
         assert orthonormal_complement(n).tobytes() == reference_complement(n, largest).tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.02, 0.3])
+@pytest.mark.parametrize("semi_axes", [[1.2, 1.0], [1.0, 1.3, 1.7], [1.0, 1.3, 1.7, 0.9]],
+                         ids=["d2", "d3", "d4"])
+def test_row_fields_match_the_point_kernels_bit_for_bit(semi_axes, eps, rng):
+    table = ellipsoid_table(semi_axes, eps=eps, coeffs=rng.uniform(-1.0, 1.0, len(semi_axes)))
+    X = np.array(list(sample_points(table, rng, 300)))
+    phi, grad = table._row_fields
+    assert phi(X).tobytes() == np.array([table._phi(x) for x in X]).tobytes()
+    assert grad(X).tobytes() == np.array([table._grad(x) for x in X]).tobytes()
+
+
+def check_projection_rows(table, A):
+    """_project_rows against _project row by row; returns ok."""
+    points, grads, ok = _project_rows(table, A)
+    for i, a in enumerate(A):
+        try:
+            point, g = _project(table, a.copy())
+        except FinslerBilliardsError:
+            assert not ok[i]
+            assert not grads[i].any()
+            continue
+        assert ok[i]
+        assert points[i].tobytes() == point.tobytes()
+        assert grads[i].tobytes() == g.tobytes()
+    return ok
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.02, 0.3])
+@pytest.mark.parametrize("semi_axes", [[1.2, 1.0], [1.0, 1.3, 1.7], [1.0, 1.3, 1.7, 0.9]],
+                         ids=["d2", "d3", "d4"])
+def test_projection_rows_match_the_scalar_projection_bit_for_bit(semi_axes, eps, rng):
+    # in lockstep with the row kernels, and row by row on a custom table that
+    # has none.  A NaN row fails on its residual and the centre, where the
+    # gradient vanishes, during the iteration
+    table = ellipsoid_table(semi_axes, eps=eps, coeffs=rng.uniform(-1.0, 1.0, len(semi_axes)))
+    custom = ConvexTable(table._phi_fn, table._grad_fn, table.bounding_radius, table.dim)
+    assert custom._row_fields is None
+    d = table.dim
+    A = np.array([*sample_points(table, rng, 60), np.full(d, np.nan), np.zeros(d),
+                  100.0 * rng.standard_normal(d)])
+    for t in (table, custom):
+        ok = check_projection_rows(t, A)
+        assert ok.sum() == len(A) - 2 and not ok[-3] and not ok[-2]
+
+
+def hooked_table(phi, grad, phi_rows, grad_rows):
+    """A planar custom table that also carries row kernels."""
+    table = ConvexTable(phi, grad, 2.0, 2)
+    table._row_fields = (phi_rows, grad_rows)
+    return table
+
+
+def test_projection_rows_fail_where_the_scalar_projection_raises(rng):
+    # (|x|^2 - 1)^3 has a vanishing gradient on its zero set, so a point on
+    # it fails the final gradient check; 1 + |x|^2 has no zero set, so every
+    # start fails, on its residual or on its vanishing gradient at the origin
+    def cube(x):
+        s = float(x.dot(x)) - 1.0
+        return s * s * s
+
+    def cube_grad(x):
+        s = float(x.dot(x)) - 1.0
+        return 6.0 * (s * s) * x
+
+    def cube_rows(X):
+        s = np.vecdot(X, X) - 1.0
+        return s * s * s
+
+    def cube_grad_rows(X):
+        s = np.vecdot(X, X) - 1.0
+        return 6.0 * (s * s)[:, None] * X
+
+    cubed = hooked_table(cube, cube_grad, cube_rows, cube_grad_rows)
+    A = np.array([[1.0, 0.0], [0.0, -1.0], *(1.5 * rng.standard_normal((20, 2)))])
+    ok = check_projection_rows(cubed, A)
+    assert not ok[0] and not ok[1]
+    lifted = hooked_table(lambda x: 1.0 + float(x.dot(x)), lambda x: 2.0 * x,
+                          lambda X: 1.0 + np.vecdot(X, X), lambda X: 2.0 * X)
+    ok = check_projection_rows(lifted, np.array([[0.3, 0.0], [1.0, -2.0], [0.0, 0.0]]))
+    assert not ok.any()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_frame_rows_match_the_scalar_frames_bit_for_bit(d, rng):
+    # the largest axis dropped, as for the search's frames; also normals with
+    # exact zero components, where a signed zero could differ
+    N = rng.standard_normal((3000, d)) * 10.0 ** rng.uniform(-3, 3, (3000, 1))
+    N[::5, 0] = 0.0
+    nhat = np.array([n / _norm(n) for n in N])
+    frames, drops, ok = _unit_complement_rows(nhat)
+    assert ok.all()
+    for i, n in enumerate(nhat):
+        assert drops[i] == _largest_axis(n)
+        assert frames[i].tobytes() == _unit_complement(n, _largest_axis(n)).tobytes()
 
 
 def test_derivative_bounds_are_checked():
