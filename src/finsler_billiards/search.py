@@ -49,6 +49,7 @@ from .metrics import (
 from .tables import (
     BoundaryPoint,
     ConvexTable,
+    _hess_rows,
     _largest_axis,
     _project,
     _project_rows,
@@ -359,11 +360,11 @@ def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
                 eig_tol: float | None = None) -> tuple[int, int]:
     """(index, degeneracy) of the chart Hessian of the cyclic length.
 
-    The chart Hessian is the symmetrised Newton Jacobian (``_jacobian``) of
-    the projected gradient on boundary charts anchored at the polygon, the
-    same for every metric and table.  Eigenvalues below -eig_tol count toward
-    the index, eigenvalues within eig_tol of zero are reported as
-    degeneracy.  Valid at critical points, where the chart
+    The chart Hessian is the symmetrised Newton Jacobian (``_jacobian`` on a
+    stack of one) of the projected gradient on boundary charts anchored at
+    the polygon, the same for every metric and table.  Eigenvalues below
+    -eig_tol count toward the index, eigenvalues within eig_tol of zero are
+    reported as degeneracy.  Valid at critical points, where the chart
     curvature terms drop out.
     """
     pts = _points_array(polygon, table.dim)
@@ -373,9 +374,11 @@ def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
     if not _check_distinct(pts, scale):
         raise CoincidentPoints("consecutive vertices coincide within tolerance")
     base = _safe_grad(metric, table, pts, scale)
-    J = None if base is None else _jacobian(metric, table, pts, base)
-    if J is None:
+    J, ok = (None, [False]) if base is None else _jacobian(metric, table, pts[None],
+                                                          _stacked(base))
+    if not ok[0]:
         raise InvalidParameters("the chart Hessian is undefined at this polygon")
+    J = J[0]
     eigs = np.linalg.eigvalsh(0.5 * (J + J.T))
     index = int(np.sum(eigs < -tol))
     degeneracy = int(np.sum(np.abs(eigs) <= tol))
@@ -394,6 +397,16 @@ def _safe_grad(metric, table, pts, scale, normals=None) -> _Evaluation | None:
         return _grad_flat(metric, table, pts, normals=normals)
     except FinslerBilliardsError:
         return None
+
+
+def _stacked(ev: _Evaluation) -> _Evaluation:
+    """A polygon's evaluation as a stack of one, each field with a leading axis."""
+    return _Evaluation(*(np.array([field]) for field in ev))
+
+
+def _rows(ev: _Evaluation, k) -> _Evaluation:
+    """Row (or rows) k of a stacked evaluation."""
+    return _Evaluation(*(field[k] for field in ev))
 
 
 def _chord_derivatives(metric, pts, frames, j):
@@ -421,10 +434,46 @@ def _chord_derivatives(metric, pts, frames, j):
     return (A - du_x) @ Fj, du_x @ Fk, -du_y @ Fj, (A + du_y) @ Fk
 
 
-def _jacobian(metric, table, pts, base):
-    """Jacobian of the projected gradient at pts; None if a chord's derivative fails.
+def _chord_derivative_rows(metric, P, frames):
+    """``_chord_derivatives`` of every chord of an (n, r, d) stack: (blocks, ok).
 
-    ``base`` is ``_grad_flat`` of pts.  Row block i is the derivative of
+    blocks are the four (n, r, d, d-1) arrays (dep by x_j, dep by x_k, arr by
+    x_j, arr by x_k), row [k, j] for chord j of polygon k, and ok[k] is False
+    where a chord of polygon k raises.  Euclidean and Minkowski chords are one
+    stack, with ``_Lvv``'s float operations, A = (I - vhat vhat^T) / |e|; any
+    other metric goes chord by chord.
+    """
+    n, r, d = P.shape
+    ok = np.ones(n, dtype=bool)
+    # F_j^T as the transposed view that _chord_derivatives multiplies by
+    Ft = frames.transpose(0, 1, 3, 2)
+    if isinstance(metric, (EuclideanMetric, MinkowskiMetric)):
+        nxt = np.arange(1, r + 1) % r
+        E = P[:, nxt] - P
+        norms = np.sqrt(np.vecdot(E, E))[..., None]
+        vhat = E / norms
+        A = (np.eye(d) - vhat[..., :, None] * vhat[..., None, :]) / norms[..., None]
+        by_j = np.matmul(-A, Ft)
+        by_k = np.matmul(A, frames[:, nxt].transpose(0, 1, 3, 2))
+        return (by_j, by_k, by_j, by_k), ok
+    blocks = tuple(np.zeros((n, r, d, d - 1)) for _ in range(4))
+    for k in range(n):
+        try:
+            for j in range(r):
+                for block, value in zip(blocks, _chord_derivatives(metric, P[k], frames[k], j)):
+                    block[k, j] = value
+        except FinslerBilliardsError:
+            ok[k] = False
+    return blocks, ok
+
+
+def _jacobian(metric, table, pts, base):
+    """Jacobians of the projected gradient at each polygon of an (n, r, d) stack.
+
+    ``base`` is the stack's evaluation, each field with a leading polygon axis
+    (``_evaluate_stack``'s, or ``_stacked`` of ``_grad_flat``'s).  Returns
+    (J, ok): J[k] is polygon k's (r(d-1), r(d-1)) Jacobian, and ok[k] is False
+    where a chord's derivative fails.  Row block i is the derivative of
     g_i = F_i c_i, with c_i = arr_{i-1} - dep_i the difference of the Legendre
     covectors at x_i, as each vertex x_j moves along its frame rows F_j.  With
     the chord blocks of ``_chord_derivatives``,
@@ -443,37 +492,38 @@ def _jacobian(metric, table, pts, base):
 
     Its n.c_i part is the second fundamental form weighted by the normal
     component of c_i; the rest is the frame's in-plane rotation, which
-    vanishes at critical points (g = 0).
+    vanishes at critical points (g = 0).  Each polygon's J is the one its
+    blocks give alone, to the last bit: every product is a batched matmul or
+    ``np.vecdot`` of the per-polygon operands, with the same layouts.
     """
-    r, d = pts.shape
+    n, r, d = pts.shape
     m = d - 1
-    frames = base.frames
-    try:
-        chords = [_chord_derivatives(metric, pts, frames, j) for j in range(r)]
-    except FinslerBilliardsError:
-        return None
-    rows = base.grad.reshape(r, m)
+    F = base.frames
+    (dep_i, dep_next, arr_prev, arr_i), ok = _chord_derivative_rows(metric, pts, F)
+    prev = np.arange(-1, r - 1)
+    arr_prev, arr_i = arr_prev[:, prev], arr_i[:, prev]  # of chord i-1, at vertex i
+    g = base.grad.reshape(n, r, m)
+    norms = np.sqrt(np.vecdot(base.normals, base.normals))
+    nhat = base.normals / norms[..., None]
+    c = base.arriving[:, prev] - base.departing
+    H = _hess_rows(table, pts.reshape(n * r, d)).reshape(n, r, d, d)
+    P = np.matmul(np.matmul(F, H), F.transpose(0, 1, 3, 2)) / norms[..., None, None]
+    drops = base.drops[..., None]
+    rho = (np.take_along_axis(F, drops[..., None], axis=3)[..., 0]
+           / np.take_along_axis(nhat, drops, axis=2))
     above = np.triu(np.ones((m, m)), 1)  # above[a, b] = 1 where b > a
-    J = np.zeros((r * m, r * m))
+    weight = np.vecdot(nhat, c)[..., None] + np.matmul(above.T, (rho * g)[..., None])[..., 0]
+    frame_term = rho[..., None] * np.matmul(above * g[..., None, :], P) - P * weight[..., None]
+    diagonal = np.matmul(F, arr_i - dep_i) + frame_term
+    to_next, to_prev = np.matmul(F, dep_next), np.matmul(F, arr_prev)
+    J = np.zeros((n, r * m, r * m))
     for i in range(r):
-        F, g, n = frames[i], rows[i], base.normals[i]
-        nn = _norm(n)
-        nhat = n / nn
-        c = base.arriving[i - 1] - base.departing[i]
-        P = F @ table._hess(pts[i]) @ F.T / nn
-        drop = base.drops[i]
-        rho = F[:, drop] / nhat[drop]
-        frame_term = (rho[:, None] * ((above * g) @ P)
-                      - P * (float(nhat @ c) + above.T @ (rho * g))[:, None])
-        dep_i, dep_next, _, _ = chords[i]
-        _, _, arr_prev, arr_i = chords[i - 1]
-        prev, nxt = (i - 1) % r, (i + 1) % r
-        bi = slice(i * m, (i + 1) * m)
-        J[bi, bi] = F @ (arr_i - dep_i) + frame_term
-        # at r = 2, prev == nxt and both neighbour blocks add into one
-        J[bi, nxt * m:(nxt + 1) * m] -= F @ dep_next
-        J[bi, prev * m:(prev + 1) * m] += F @ arr_prev
-    return J
+        bi, bn, bp = (slice(v * m, (v + 1) * m) for v in (i, (i + 1) % r, (i - 1) % r))
+        J[:, bi, bi] = diagonal[:, i]
+        # at r = 2, the next and the previous vertex are one and both blocks add into it
+        J[:, bi, bn] -= to_next[:, i]
+        J[:, bi, bp] += to_prev[:, i]
+    return J, ok
 
 
 def _retract(table, pts, frames, delta):
@@ -486,6 +536,16 @@ def _retract(table, pts, frames, delta):
         out[i], g = _project(table, pts[i] + s[i] @ frames[i])
         normals.append(g)
     return out, normals
+
+
+def _step(metric, table, pts, frames, delta, scale):
+    """``_retract`` and then ``_safe_grad``: (points, evaluation), or None if either fails."""
+    try:
+        cand, normals = _retract(table, pts, frames, delta)
+    except FinslerBilliardsError:
+        return None
+    ev = _safe_grad(metric, table, cand, scale, normals)
+    return None if ev is None else (cand, ev)
 
 
 def _randers_covector_rows(metric, P, E, chord):
@@ -513,24 +573,27 @@ def _randers_covector_rows(metric, P, E, chord):
 
 
 def _evaluate_stack(metric, table, pts, frames, steps, scale, bound=0.0):
-    """``_retract`` and then ``_safe_grad`` of pts moved by each row of steps.
+    """``_retract`` and then ``_safe_grad`` of polygons moved by each row of steps.
 
-    Returns the candidate polygons, an ``_Evaluation`` whose fields carry the
-    candidate as a leading axis (drops an (n, r) array), and each candidate's
-    |g|, inf where ``_retract`` raises or ``_safe_grad`` returns None.  Every
-    value of a candidate that passes is the scalar pair's to the last bit.
-    Euclidean and Minkowski chords are one stack (``_randers_covector_rows``).
-    Any other metric connects the chords through ``_chord_covectors``, one
-    candidate at a time in row order, and stops after the first whose |g| is
-    below bound; the rows after it read inf.
+    Row k moves the polygon pts[k] along its frames[k], an (n, r, d) stack and
+    an (n, r, d-1, d) one; an (r, d) polygon with its r frames is moved by
+    every row.  Returns the candidate polygons, an ``_Evaluation`` whose fields
+    carry the candidate as a leading axis (drops an (n, r) array), and each
+    candidate's |g|, inf where ``_retract`` raises or ``_safe_grad`` returns
+    None.  Every value of a candidate that passes is the scalar pair's to the
+    last bit.  Euclidean and Minkowski chords are one stack
+    (``_randers_covector_rows``).  Any other metric connects the chords
+    through ``_chord_covectors``, one candidate at a time in row order, and
+    stops after the first whose |g| is below bound; the rows after it read inf.
     """
     n = steps.shape[0]
-    r, d = pts.shape
+    r, d = pts.shape[-2:]
+    frames = np.asarray(frames)
     s = steps.reshape(n, r, d - 1)
     moved = np.empty((n, r, d))
     for i in range(r):
         # a (1, d-1) row per candidate: _retract's vector-matrix product
-        moved[:, i] = pts[i] + np.matmul(s[:, i:i + 1], frames[i])[:, 0]
+        moved[:, i] = pts[..., i, :] + np.matmul(s[:, i:i + 1], frames[..., i, :, :])[:, 0]
     P, N, ok = _project_rows(table, moved.reshape(n * r, d))
     P, N = P.reshape(n, r, d), N.reshape(n, r, d)
     ok = ok.reshape(n, r).all(axis=1)
@@ -570,75 +633,112 @@ def _evaluate_stack(metric, table, pts, frames, steps, scale, bound=0.0):
 
 
 def _line_search(metric, table, pts, ev, gn, delta, scale, halvings):
-    """The first step t = 2^-k > 1e-12, in t order, whose candidate has |g| < gn.
+    """The first step t = 2^-k, 1 > t > 1e-12, in t order, whose candidate has |g| < gn.
 
-    Returns (points, evaluation, |g|, k), or None if no step does: the
-    candidate that halving t from 1 one step at a time accepts.  The steps go
-    in groups.  The first group holds halvings + 1 of them, the previous
-    Newton step's count, and each later group twice as many as the one before.
-    A lone step goes through ``_retract`` and ``_safe_grad``; a larger group is
-    evaluated as one stack (``_evaluate_stack``).
+    The full step t = 1 is ``_refine``'s, and was rejected.  Returns (points,
+    evaluation, |g|, k), or None if no step does: the candidate that halving t
+    one step at a time accepts.  The steps go in groups.  The first group holds
+    max(halvings, 1) of them, halvings the previous Newton step's count, and
+    each later group twice as many as the one before.  A lone step goes through
+    ``_retract`` and ``_safe_grad``; a larger group is evaluated as one stack
+    (``_evaluate_stack``).
     """
-    k, size = 0, halvings + 1
+    k, size = 1, max(halvings, 1)
     while k < len(_STEP_LENGTHS):
         ts = _STEP_LENGTHS[k:k + size]
         if len(ts) == 1:
-            try:
-                cand, normals = _retract(table, pts, ev.frames, ts[0] * delta)
-            except FinslerBilliardsError:
-                cand_ev = None
-            else:
-                cand_ev = _safe_grad(metric, table, cand, scale, normals)
-            if cand_ev is not None:
-                gcn = _norm(cand_ev.grad)
+            step = _step(metric, table, pts, ev.frames, ts[0] * delta, scale)
+            if step is not None:
+                gcn = _norm(step[1].grad)
                 if gcn < gn:
-                    return cand, cand_ev, gcn, k
+                    return step[0], step[1], gcn, k
         else:
             P, stack, gns = _evaluate_stack(metric, table, pts, ev.frames,
                                             np.multiply.outer(ts, delta), scale, gn)
             lower = np.flatnonzero(gns < gn)
             if lower.size:
                 j = int(lower[0])
-                cand_ev = _Evaluation(stack.grad[j], list(stack.normals[j]),
-                                      list(stack.frames[j]), stack.drops[j].tolist(),
-                                      stack.departing[j], stack.arriving[j])
-                return P[j], cand_ev, float(gns[j]), k + j
+                return P[j], _rows(stack, j), float(gns[j]), k + j
         k += len(ts)
         size = 2 * len(ts)
     return None
 
 
-def _refine(metric, table, seed_pts, grad_tol, scale, max_iter):
-    """Damped Newton on the projected-gradient system; None if it fails."""
-    try:
-        pts = np.array([
-            project_to_boundary(table, p).position.components for p in seed_pts
-        ])
-    except FinslerBilliardsError:
-        return None
-    ev = _safe_grad(metric, table, pts, scale)
-    if ev is None:
-        return None
-    gn = _norm(ev.grad)
+def _refine(metric, table, seeds, grad_tol, scale, max_iter):
+    """Damped Newton on the projected-gradient system of every polygon of a seed stack.
 
-    halvings = 0
+    ``seeds`` is an (S, r, d) stack.  Returns one result per seed: (points,
+    |g|), or None where the seed's projection or first evaluation fails or its
+    |g| ends above grad_tol.  The seeds go in lockstep.  An iteration builds
+    the live seeds' Jacobians as one stack (``_jacobian``), solves each with
+    lstsq, clips it to 0.5 scale and evaluates every full step t = 1 as one
+    stack (``_evaluate_stack``; a lone live seed's through ``_retract`` and
+    ``_safe_grad``).  A seed whose full step does not lower |g| backtracks
+    alone (``_line_search``).  A seed leaves the loop when |g| <= 1e-14 scale,
+    when its Jacobian or its line search fails, or after max_iter iterations.
+    Each seed gets the float operations of a Newton loop on it alone, so its
+    result does not depend on the other seeds.
+    """
+    S, r, d = seeds.shape
+    P = np.zeros((S, r, d))
+    ev = _Evaluation(np.zeros((S, r * (d - 1))), np.zeros((S, r, d)),
+                     np.zeros((S, r, d - 1, d)), np.zeros((S, r), dtype=np.intp),
+                     np.zeros((S, r, d)), np.zeros((S, r, d)))
+    gn = np.full(S, np.inf)
+    halvings = np.zeros(S, dtype=np.intp)  # of each seed's last accepted step
+
+    def accept(k, pts, cand_ev, g):
+        P[k], gn[k] = pts, g
+        for field, value in zip(ev, cand_ev):
+            field[k] = value
+
+    live = []
+    for k, seed in enumerate(seeds):
+        try:
+            pts = np.array([project_to_boundary(table, p).position.components for p in seed])
+        except FinslerBilliardsError:
+            continue
+        first = _safe_grad(metric, table, pts, scale)
+        if first is not None:
+            accept(k, pts, first, _norm(first.grad))
+            live.append(k)
+    live = np.array(live, dtype=np.intp)
+
     for _ in range(max_iter):
-        if gn <= 1e-14 * scale:
+        live = live[~(gn[live] <= 1e-14 * scale)]
+        if not live.size:
             break
-        J = _jacobian(metric, table, pts, ev)
-        if J is None:
-            break
-        delta, *_ = np.linalg.lstsq(J, -ev.grad, rcond=_NEWTON_RCOND)
-        dn = _norm(delta)
-        if dn > 0.5 * scale:
-            delta *= 0.5 * scale / dn
-        step = _line_search(metric, table, pts, ev, gn, delta, scale, halvings)
-        if step is None:
-            break
-        pts, ev, gn, halvings = step
-    if gn <= grad_tol:
-        return pts, gn
-    return None
+        J, ok = _jacobian(metric, table, P[live], _rows(ev, live))
+        live, J = live[ok], J[ok]
+        deltas = np.empty((live.size, r * (d - 1)))
+        for j, k in enumerate(live):
+            delta, *_ = np.linalg.lstsq(J[j], -ev.grad[k], rcond=_NEWTON_RCOND)
+            dn = _norm(delta)
+            if dn > 0.5 * scale:
+                delta *= 0.5 * scale / dn
+            deltas[j] = delta
+        if live.size == 1:
+            full = _step(metric, table, P[live[0]], ev.frames[live[0]], deltas[0], scale)
+            gns = np.array([np.inf if full is None else _norm(full[1].grad)])
+            cand, stack = (None, None) if full is None else (full[0][None], _stacked(full[1]))
+        else:
+            cand, stack, gns = _evaluate_stack(metric, table, P[live], ev.frames[live],
+                                               deltas, scale)
+        stopped = []
+        for j, k in enumerate(live):
+            if gns[j] < gn[k]:
+                accept(k, cand[j], _rows(stack, j), gns[j])
+                halvings[k] = 0
+                continue
+            step = _line_search(metric, table, P[k], _rows(ev, k), gn[k], deltas[j], scale,
+                                halvings[k])
+            if step is None:
+                stopped.append(j)
+            else:
+                accept(k, *step[:3])
+                halvings[k] = step[3]
+        live = np.delete(live, stopped)
+    return [(P[k].copy(), float(gn[k])) if gn[k] <= grad_tol else None for k in range(S)]
 
 
 def _random_seed(table, r, rng, scale):
@@ -719,8 +819,8 @@ def find_critical(metric: FinslerMetric, table: ConvexTable, r: int,
         seeds.append(cand)
 
     polygons = []
-    for seed_pts in seeds:
-        res = _refine(metric, table, seed_pts, params["grad_tol"], scale, params["max_iter"])
+    stack = np.reshape(seeds, (len(seeds), r, table.dim))
+    for res in _refine(metric, table, stack, params["grad_tol"], scale, params["max_iter"]):
         if res is None:
             continue
         pts, gn = res

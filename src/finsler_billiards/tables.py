@@ -8,10 +8,10 @@ radius.  All absolute tolerances in the package are stated relative to
 As for ``FinslerMetric``, the underscore ``_phi``/``_grad`` are the raw
 surface the kernels call; the public ``phi``/``grad`` check coordinates first.
 Likewise ``_project`` is the projection the search's Newton loop calls, and
-``project_to_boundary`` checks its argument before it.  ``_project_rows`` and
-``_unit_complement_rows`` run ``_project`` and the tangent frames over the rows
-of an array, bit for bit the per-row calls, for the line search's stacked
-candidates.
+``project_to_boundary`` checks its argument before it.  ``_project_rows``,
+``_hess_rows`` and ``_unit_complement_rows`` run ``_project``, ``_hess`` and the
+tangent frames over the rows of an array, bit for bit the per-row calls, for the
+Newton loop's stacked candidates and Jacobians.
 """
 
 from __future__ import annotations
@@ -97,9 +97,10 @@ class ConvexTable:
     coordinates, as in FinslerMetric.
     """
 
-    # (phi, grad) over the rows of an (n, dim) array, bit for bit ``_phi``/``_grad``
-    # of each row; set by built-in tables only (``ellipsoid_table``)
-    _row_fields: tuple[Callable, Callable] | None = None
+    # (phi, grad, hess) over the rows of an (n, dim) array, bit for bit
+    # ``_phi``/``_grad``/``_hess`` of each row; set by built-in tables only
+    # (``ellipsoid_table``)
+    _row_fields: tuple[Callable, Callable, Callable] | None = None
 
     def __init__(self, phi: Callable, grad_phi: Callable, bounding_radius: float,
                  dim: int, spec: dict | None = None, hess_phi: Callable | None = None,
@@ -234,16 +235,17 @@ def _ellipsoid_fields(semi_axes: np.ndarray, eps: float, coeffs: np.ndarray):
 
 
 def _ellipsoid_rows(semi_axes: np.ndarray, eps: float, coeffs: np.ndarray):
-    """``_ellipsoid_fields``'s phi and grad over the rows of an (n, d) array.
+    """``_ellipsoid_fields``'s phi, grad and hess over the rows of an (n, d) array.
 
     Row i's value is bit-identical to the per-point kernel at row i:
     ``np.vecdot`` runs each row's dot as ``ndarray.dot`` does, ``X**3`` rounds
-    as ``x**3``, the elementwise operations are the same in the same order,
-    and ``s1**2`` stays Python's power, which a numpy square does not
-    reproduce.
+    as ``x**3``, the elementwise operations are the same in the same order
+    (the Hessian's off-diagonal terms too, from their 0.0), and ``s1**2`` and
+    ``s1**3`` stay Python's powers, which numpy's do not reproduce.
     """
     inv2 = 1.0 / semi_axes**2
     two_inv2 = 2.0 * inv2
+    d = semi_axes.size
 
     if eps == 0.0:
         def phi(X):
@@ -252,9 +254,18 @@ def _ellipsoid_rows(semi_axes: np.ndarray, eps: float, coeffs: np.ndarray):
         def grad(X):
             return two_inv2 * X
 
-        return phi, grad
+        def hess(X):
+            return np.broadcast_to(np.diag(two_inv2), (X.shape[0], d, d))
+
+        return phi, grad, hess
 
     three_c = 3.0 * coeffs
+    six_c = 6.0 * coeffs
+    quad = np.diag(two_inv2)
+    on_diag = np.arange(d)
+
+    def powers(s1, k):
+        return np.array([v ** k for v in s1.tolist()])
 
     def phi(X):
         s1 = 1.0 + np.vecdot(X, X)
@@ -263,11 +274,23 @@ def _ellipsoid_rows(semi_axes: np.ndarray, eps: float, coeffs: np.ndarray):
     def grad(X):
         s1 = 1.0 + np.vecdot(X, X)
         q2 = np.vecdot(coeffs, X**3) * 2.0
-        s1sq = np.array([v ** 2 for v in s1.tolist()])
+        s1sq = powers(s1, 2)
         return two_inv2 * X + eps * (three_c * (X * X) / s1[:, None]
                                      - q2[:, None] * X / s1sq[:, None])
 
-    return phi, grad
+    def hess(X):
+        s1 = 1.0 + np.vecdot(X, X)
+        cubic = np.vecdot(coeffs, X**3)
+        s1sq, s1cu = powers(s1, 2)[:, None, None], powers(s1, 3)[:, None, None]
+        q2, q8 = 2.0 * cubic / s1sq[:, 0, 0], 8.0 * cubic
+        U = three_c * (X * X)
+        diag = np.zeros((X.shape[0], d, d))
+        diag[:, on_diag, on_diag] = six_c * X / s1[:, None] - q2[:, None]
+        xi, xj, ui, uj = X[:, :, None], X[:, None, :], U[:, :, None], U[:, None, :]
+        t = diag - 2.0 * (ui * xj + xi * uj) / s1sq + q8[:, None, None] * (xi * xj) / s1cu
+        return quad + eps * t
+
+    return phi, grad, hess
 
 
 def ellipsoid_table(semi_axes: Sequence[float], eps: float = 0.0,
@@ -402,7 +425,7 @@ def _project_rows(table: ConvexTable, A: np.ndarray):
             except FinslerBilliardsError:
                 ok[i] = False
         return points, grads, ok
-    phi, grad = table._row_fields
+    phi, grad = table._row_fields[:2]
     target = _PROJECT_TARGET_REL * table.scale
     accept = BOUNDARY_TOL_REL * table.scale
     f = phi(points)
@@ -440,6 +463,17 @@ def _project_rows(table: ConvexTable, A: np.ndarray):
     grads[done[nonzero]] = g[nonzero]
     ok[done[~nonzero]] = False
     return points, grads, ok
+
+
+def _hess_rows(table: ConvexTable, X: np.ndarray) -> np.ndarray:
+    """``table._hess`` of each row of an (n, d) array, bit for bit: an (n, d, d) array.
+
+    With the table's row kernel the rows are one stack; a table without it
+    takes them row by row.
+    """
+    if table._row_fields is None:
+        return np.array([table._hess(x) for x in X])
+    return table._row_fields[2](X)
 
 
 def project_to_boundary(table: ConvexTable, x) -> BoundaryPoint:

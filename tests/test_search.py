@@ -195,6 +195,12 @@ def test_morse_index_two_bounce_orbit(semi_axes, axis, expected):
     assert morse_index(EuclideanMetric(), table, pts) == expected
 
 
+def jacobian(metric, table, pts, base):
+    """The one Jacobian assembly on a stack of one polygon; None where it fails."""
+    J, ok = fb.search._jacobian(metric, table, pts[None], fb.search._stacked(base))
+    return J[0] if ok[0] else None
+
+
 def test_newton_jacobian_continuous_at_frame_tie(unit_circle):
     # the vertex at 225 degrees has tied normal components; the rotated
     # triangle has none, and the two Jacobians must share a spectrum.  Both
@@ -202,7 +208,7 @@ def test_newton_jacobian_continuous_at_frame_tie(unit_circle):
     def spectrum(angles):
         metric, pts = EuclideanMetric(), circle_polygon(angles)
         base = fb.search._grad_flat(metric, unit_circle, pts)
-        J = fb.search._jacobian(metric, unit_circle, pts, base)
+        J = jacobian(metric, unit_circle, pts, base)
         J_ref, _ = reference_jacobian(metric, unit_circle, pts, 1e-6 * unit_circle.scale)
         assert np.max(np.abs(J - J_ref)) <= 1e-8 * np.max(np.abs(J_ref))
         return np.sort(np.linalg.eigvals(J).real)
@@ -268,7 +274,7 @@ def test_jacobian_probes_match_whole_polygon_gradients(kind, r, rng):
         for _ in range(3):
             pts = random_polygon(table, r, rng)
             base = fb.search._grad_flat(metric, table, pts)
-            J = fb.search._jacobian(metric, table, pts, base)
+            J = jacobian(metric, table, pts, base)
             J_ref, frames_ref = reference_jacobian(metric, table, pts, 1e-6 * table.scale)
             assert all(np.array_equal(a, b) for a, b in zip(base.frames, frames_ref))
             assert np.max(np.abs(J - J_ref)) <= tol * np.max(np.abs(J_ref))
@@ -306,7 +312,7 @@ def test_closed_form_jacobian_matches_central_differences(make_metric, semi_axes
     for _ in range(3):
         pts = random_polygon(table, r, rng)
         base = fb.search._grad_flat(metric, table, pts)
-        J = fb.search._jacobian(metric, table, pts, base)
+        J = jacobian(metric, table, pts, base)
         J_ref, _ = reference_jacobian(metric, table, pts, h)
         assert np.max(np.abs(J - J_ref)) <= 1e-8 * np.max(np.abs(J_ref))
 
@@ -339,71 +345,128 @@ def test_jacobian_path_follows_metric_and_table(case, closed_form, rng, monkeypa
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(module, name, counted)
-    assert fb.search._jacobian(metric, table, pts, base) is not None
+    assert jacobian(metric, table, pts, base) is not None
     assert calls["connect"] == 0
     assert (calls["_central_diff"] == 0) == closed_form
 
 
 def test_larmor_diameter_has_no_chart_hessian(unit_circle):
     # a 2-gon across the unit circle at B = 1 is a Larmor diameter: the arc's
-    # length has a kink there (arcsin at 1), so no Hessian and no Jacobian
+    # length has a kink there (arcsin at 1), so no Hessian and no Jacobian.  In
+    # a stack, only its row fails
     metric, pts = MagneticMetric(1.0), np.array([[1.0, 0.0], [-1.0, 0.0]])
     base = fb.search._grad_flat(metric, unit_circle, pts)
+    other = circle_polygon([10, 150])
+    stack = np.array([other, pts, other])
+    evaluations = [fb.search._grad_flat(metric, unit_circle, p) for p in stack]
+    stacked = fb.search._Evaluation(*(np.array(f) for f in zip(*evaluations)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert fb.search._jacobian(metric, unit_circle, pts, base) is None
+        assert jacobian(metric, unit_circle, pts, base) is None
+        J, ok = fb.search._jacobian(metric, unit_circle, stack, stacked)
         with pytest.raises(InvalidParameters, match="chart Hessian is undefined"):
             morse_index(metric, unit_circle, pts)
+    assert ok.tolist() == [True, False, True]
+    ref = polygon_jacobian(metric, unit_circle, other, evaluations[0])
+    assert J[0].tobytes() == J[2].tobytes() == ref.tobytes()
+
+
+def polygon_jacobian(metric, table, pts, base):
+    """The per-polygon assembly of the Jacobian, block by block; None if a chord fails."""
+    r, d = pts.shape
+    m = d - 1
+    frames = base.frames
+    try:
+        chords = [fb.search._chord_derivatives(metric, pts, frames, j) for j in range(r)]
+    except fb.FinslerBilliardsError:
+        return None
+    rows = base.grad.reshape(r, m)
+    above = np.triu(np.ones((m, m)), 1)
+    J = np.zeros((r * m, r * m))
+    for i in range(r):
+        F, g, n = frames[i], rows[i], base.normals[i]
+        nn = _norm(n)
+        nhat = n / nn
+        c = base.arriving[i - 1] - base.departing[i]
+        P = F @ table._hess(pts[i]) @ F.T / nn
+        drop = base.drops[i]
+        rho = F[:, drop] / nhat[drop]
+        frame_term = (rho[:, None] * ((above * g) @ P)
+                      - P * (float(nhat @ c) + above.T @ (rho * g))[:, None])
+        dep_i, dep_next, _, _ = chords[i]
+        _, _, arr_prev, arr_i = chords[i - 1]
+        prev, nxt = (i - 1) % r, (i + 1) % r
+        bi = slice(i * m, (i + 1) * m)
+        J[bi, bi] = F @ (arr_i - dep_i) + frame_term
+        J[bi, nxt * m:(nxt + 1) * m] -= F @ dep_next
+        J[bi, prev * m:(prev + 1) * m] += F @ arr_prev
+    return J
 
 
 def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
-    # the line search's accepted evaluation is the Jacobian's base.  A lone
-    # full step costs one _retract and one _grad_flat (r chords); a group of
-    # several steps is one _evaluate_stack, which projects through
-    # _project_rows and connects no straight chord.  The Jacobian of straight
-    # chords connects no chord and projects no point, with or without a
-    # closed-form Hessian of the table.  The loop calls the raw _connect and
-    # _project; the public entries only project the seed
+    # the Newton loop's accepted evaluation is the Jacobian's base.  Each
+    # iteration builds one Jacobian stack over the live seeds, and each live
+    # seed's full step is one row of one _evaluate_stack (or, for a lone live
+    # seed, one _retract and one _grad_flat, r chords).  A rejected full step
+    # backtracks in _line_search, whose groups of several steps are one
+    # _evaluate_stack each, projected through _project_rows with no straight
+    # chord connected.  The Jacobian of straight chords connects no chord and
+    # projects no point, with or without a closed-form Hessian of the table.
+    # The loop calls the raw _connect and _project; the public entries only
+    # project the seeds
     metric, table = EuclideanMetric(), fb.ellipsoid_table([1.0, 1.3, 1.7], eps=0.02)
     calls = dict.fromkeys(["connect", "_connect", "project_to_boundary", "_project",
                            "_project_rows", "_grad_flat", "_retract", "_jacobian",
-                           "_line_search", "_evaluate_stack"], 0)
-    rows = dict.fromkeys(["_project_rows", "_evaluate_stack"], 0)
+                           "_line_search", "_evaluate_stack", "_step"], 0)
+    rows = dict.fromkeys(["_project_rows", "_evaluate_stack", "_jacobian", "full_steps"], 0)
+    searching = []  # whether a _line_search is running
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
+            searching.append(name == "_line_search" or (searching and searching[-1]))
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                inside = searching.pop()
             calls[name] += 1  # after the call: a retraction that raises is no candidate
             if name == "_project_rows":
                 rows[name] += args[1].shape[0]
             if name == "_evaluate_stack":
                 rows[name] += args[4].shape[0]
+            if name == "_jacobian":
+                rows[name] += args[2].shape[0]
+            if (name == "_evaluate_stack" or name == "_step") and not inside:
+                rows["full_steps"] += args[4].shape[0] if args[4].ndim == 2 else 1
             return out
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(fb.search, name, counted(name, getattr(fb.search, name)))
-    pts = random_polygon(table, 3, rng)
+    seeds = np.array([random_polygon(table, 3, rng) for _ in range(4)])
     for table in (table, without_hessian(table)):
         calls.update(dict.fromkeys(calls, 0))
-        base = fb.search._grad_flat(metric, table, pts)
-        fb.search._jacobian(metric, table, pts, base)
+        base = fb.search._grad_flat(metric, table, seeds[0])
+        jacobian(metric, table, seeds[0], base)
         connects = calls["connect"] + calls["_connect"]
         projections = calls["project_to_boundary"] + calls["_project"]
         assert (connects, projections, calls["_grad_flat"]) == (3, 0, 1)
 
         calls.update(dict.fromkeys(calls, 0))
         rows.update(dict.fromkeys(rows, 0))
-        assert fb.search._refine(metric, table, pts, 1e-9, table.scale, 60) is not None
-        assert calls["_jacobian"] == calls["_line_search"] > 0
+        results = fb.search._refine(metric, table, seeds, 1e-9, table.scale, 60)
+        assert sum(res is not None for res in results) >= 2
+        assert 0 < calls["_jacobian"] <= 60
+        assert rows["_jacobian"] >= 4 + calls["_jacobian"] - 1  # all 4 seeds in the first
+        assert rows["full_steps"] == rows["_jacobian"]
+        assert calls["_line_search"] < rows["_jacobian"]
         assert calls["_evaluate_stack"] > 0
-        assert calls["_grad_flat"] == 1 + calls["_retract"]
+        assert calls["_grad_flat"] == 4 + calls["_retract"] == 4 + calls["_step"]
         assert calls["connect"] + calls["_connect"] == 3 * calls["_grad_flat"]
-        assert calls["project_to_boundary"] == 3  # the seed, once per vertex
+        assert calls["project_to_boundary"] == 3 * 4  # the seeds, once per vertex
         assert calls["_project"] == 3 * calls["_retract"]
         assert calls["_project_rows"] == calls["_evaluate_stack"]
         assert rows["_project_rows"] == 3 * rows["_evaluate_stack"]
-        # a stack holds at least two step lengths, a lone step exactly one
+        # a stack holds at least two seeds' full steps or two step lengths
         assert rows["_evaluate_stack"] >= 2 * calls["_evaluate_stack"]
 
 
@@ -480,13 +543,18 @@ STACK_CASES = [
 
 
 def check_stack(metric, table, pts, ev, steps):
-    """_evaluate_stack against _retract + _safe_grad row by row; returns the failures."""
+    """_evaluate_stack against _retract + _safe_grad row by row; returns the failures.
+
+    pts and ev are one polygon and its evaluation, moved by every step, or an
+    (n, r, d) stack and a stacked evaluation, row k moved by step k.
+    """
     scale = table.scale
     P, stack, gns = fb.search._evaluate_stack(metric, table, pts, ev.frames, steps, scale)
     failed = 0
     for k, step in enumerate(steps):
+        base, frames = (pts, ev.frames) if pts.ndim == 2 else (pts[k], ev.frames[k])
         try:
-            cand, normals = fb.search._retract(table, pts, ev.frames, step)
+            cand, normals = fb.search._retract(table, base, frames, step)
         except fb.FinslerBilliardsError:
             cand_ev = None
         else:
@@ -533,29 +601,64 @@ def test_stacked_candidates_match_retract_and_safe_grad_bit_for_bit(make_metric,
         ev = fb.search._Evaluation(None, normals, frames, None, None, None)
         step = np.tile(0.01 * rng.standard_normal(len(semi_axes) - 1), 3)
         assert check_stack(metric, table, pts, ev, np.multiply.outer([1.0, 0.5], step)) == 2
+        # a polygon per row, as the Newton loop's full steps are
+        bases = np.array([random_polygon(table, 3, rng) for _ in range(5)])
+        stacked = fb.search._Evaluation(*(np.array(field) for field in zip(
+            *(fb.search._grad_flat(metric, table, p) for p in bases))))
+        steps = 0.2 * rng.standard_normal((5, m))
+        steps[2, 0] = np.nan
+        assert check_stack(metric, table, bases, stacked, steps) >= 1
+
+
+@pytest.mark.parametrize("make_metric, semi_axes, eps", STACK_CASES)
+def test_stacked_jacobian_matches_the_polygon_assembly_bit_for_bit(make_metric, semi_axes,
+                                                                   eps, rng):
+    # every polygon of a stack, from _evaluate_stack as the Newton loop builds
+    # it, gets the per-polygon assembly's Jacobian to the last bit, on a table
+    # with the Hessian row kernel and on a custom one without a Hessian
+    metric = make_metric(len(semi_axes))
+    ellipsoid = fb.ellipsoid_table(semi_axes, eps=eps)
+    m = 3 * (len(semi_axes) - 1)
+    for table in (ellipsoid, without_hessian(ellipsoid)):
+        pts = random_polygon(table, 3, rng)
+        ev = fb.search._grad_flat(metric, table, pts)
+        steps = 0.2 * rng.standard_normal((6, m))
+        P, stack, gns = fb.search._evaluate_stack(metric, table, pts, ev.frames, steps,
+                                                  table.scale)
+        good = np.flatnonzero(np.isfinite(gns))
+        assert good.size >= 3
+        J, ok = fb.search._jacobian(metric, table, P[good], fb.search._rows(stack, good))
+        assert ok.all()
+        for k, row in zip(good, J):
+            ref = polygon_jacobian(metric, table, P[k], fb.search._rows(stack, k))
+            assert row.tobytes() == ref.tobytes()
 
 
 def reference_refine(metric, table, seed_pts, grad_tol, scale, max_iter):
-    """The Newton loop with the sequential line search that halves t from 1 one step at a time.
+    """One seed's Newton loop, with the line search that halves t from 1 one step at a time.
 
-    Returns (_refine's result, the most halvings of an accepted step, whether
-    the loop ran out of max_iter).
+    Returns (_refine's result for the seed, the most halvings of an accepted
+    step, why the loop ended, its iterations).  The loop ends on "projection"
+    (the seed's), "converged" (|g| <= 1e-14 scale), "jacobian", "line search"
+    or "max_iter".
     """
     search = fb.search
     try:
         pts = np.array([fb.project_to_boundary(table, p).position.components for p in seed_pts])
     except fb.FinslerBilliardsError:
-        return None, 0, False
+        return None, 0, "projection", 0
     ev = search._safe_grad(metric, table, pts, scale)
     if ev is None:
-        return None, 0, False
+        return None, 0, "evaluation", 0
     gn = _norm(ev.grad)
-    most, exhausted = 0, False
-    for _ in range(max_iter):
+    most, reason, iterations = 0, "max_iter", 0
+    for iterations in range(max_iter):
         if gn <= 1e-14 * scale:
+            reason = "converged"
             break
-        J = search._jacobian(metric, table, pts, ev)
+        J = polygon_jacobian(metric, table, pts, ev)
         if J is None:
+            reason = "jacobian"
             break
         delta, *_ = np.linalg.lstsq(J, -ev.grad, rcond=search._NEWTON_RCOND)
         dn = _norm(delta)
@@ -580,11 +683,12 @@ def reference_refine(metric, table, seed_pts, grad_tol, scale, max_iter):
             t *= 0.5
             halvings += 1
         if not accepted:
+            reason = "line search"
             break
         most = max(most, halvings)
     else:
-        exhausted = True
-    return ((pts, gn) if gn <= grad_tol else None), most, exhausted
+        iterations = max_iter
+    return ((pts, gn) if gn <= grad_tol else None), most, reason, iterations
 
 
 def search_seeds(metric, table, r, rng_seed, count):
@@ -603,33 +707,47 @@ def search_seeds(metric, table, r, rng_seed, count):
 
 REFINE_CASES = {
     # the drift config: seed 8 runs out of max_iter after a 21-halving step, seed 10
-    # halves 8 times in one step
+    # halves 8 times in one step.  Riemannian seed 3 runs out of max_iter and seed 14
+    # stops on a line search that finds no lower |g|
     "drift3d": (MinkowskiMetric([0.2, 0.0, 0.0]),
                 fb.ellipsoid_table([1.0, 1.3, 1.7], eps=0.02, coeffs=[1.0, 1.0, 1.0]), 11),
     "magnetic2d": (MagneticMetric(0.1), fb.ellipsoid_table([1.2, 1.0]), 4),
     "disk": (EuclideanMetric(), fb.ellipsoid_table([1.0, 1.0]), 4),
-    "riemannian": (CLOSED_FORM_METRICS["riemannian"](3), fb.ellipsoid_table(AXES["d3"], eps=0.3), 4),
+    "riemannian": (CLOSED_FORM_METRICS["riemannian"](3), fb.ellipsoid_table(AXES["d3"], eps=0.3),
+                   15),
     "custom-table": (MinkowskiMetric([0.2, 0.0, 0.0]),
                      without_hessian(fb.ellipsoid_table([1.0, 1.3, 1.7], eps=0.02)), 4),
 }
 
 
-def test_refine_matches_the_sequential_line_search():
-    # the stacked line search accepts the candidate the sequential one does,
-    # so _refine returns the same bytes, or None, on every seed
-    most, exhausted = 0, 0
-    for metric, table, count in REFINE_CASES.values():
-        for seed_pts in search_seeds(metric, table, 3, 0, count):
-            ref, halvings, ran_out = reference_refine(metric, table, seed_pts, 1e-9,
-                                                      table.scale, 60)
-            out = fb.search._refine(metric, table, seed_pts, 1e-9, table.scale, 60)
-            assert (out is None) == (ref is None)
-            if out is not None:
-                assert out[0].tobytes() == ref[0].tobytes()
-                assert np.float64(out[1]).tobytes() == np.float64(ref[1]).tobytes()
-            most, exhausted = max(most, halvings), exhausted + ran_out
-    assert most >= 8
-    assert exhausted >= 1
+@pytest.mark.parametrize("case", sorted(REFINE_CASES))
+def test_refine_matches_the_sequential_line_search(case):
+    # the lockstep loop over one stack of seeds gives every seed the bytes, or
+    # None, of its own Newton loop with the sequential line search.  Each stack
+    # holds a seed whose projection fails (a vertex at the centre, where the
+    # gradient vanishes) and seeds that end on each of the loop's stops
+    metric, table, count = REFINE_CASES[case]
+    seeds = search_seeds(metric, table, 3, 0, count)
+    seeds.insert(1, np.array([seeds[0][0], np.zeros(table.dim), seeds[0][2]]))
+    results = fb.search._refine(metric, table, np.array(seeds), 1e-9, table.scale, 60)
+    assert len(results) == len(seeds)
+    stops, most = [], 0
+    for seed_pts, out in zip(seeds, results):
+        ref, halvings, reason, iterations = reference_refine(metric, table, seed_pts, 1e-9,
+                                                             table.scale, 60)
+        assert (out is None) == (ref is None)
+        if out is not None:
+            assert out[0].tobytes() == ref[0].tobytes()
+            assert np.float64(out[1]).tobytes() == np.float64(ref[1]).tobytes()
+        stops.append((reason, iterations))
+        most = max(most, halvings)
+    reasons = {reason for reason, _ in stops}
+    assert reasons >= {"projection", "converged"}
+    assert len({n for reason, n in stops if reason == "converged"}) >= 2
+    if case == "drift3d":
+        assert most >= 8 and "max_iter" in reasons
+    if case == "riemannian":
+        assert {"max_iter", "line search"} <= reasons
 
 
 def test_norm_matches_numpy_bit_for_bit(rng):
@@ -663,13 +781,14 @@ def test_search_rejects_a_metric_connect_cannot_build(unit_circle, monkeypatch):
 
 def test_disk_search_finds_the_continuum(unit_circle, monkeypatch):
     # one record per Morse-Bott family: the rotated equilateral triangles of
-    # each rotation number, reached by every converged seed
+    # each rotation number, reached by every converged seed of the one stack
     refine, converged = fb.search._refine, []
 
     def counted(*args):
-        res = refine(*args)
-        converged.append(res is not None)
-        return res
+        results = refine(*args)
+        assert args[2].shape == (60, 3, 2) and len(results) == 60
+        converged.extend(res is not None for res in results)
+        return results
 
     monkeypatch.setattr(fb.search, "_refine", counted)
     recs = find_critical(EuclideanMetric(), unit_circle, 3,
@@ -686,11 +805,10 @@ def test_newton_is_continuous_on_the_disk_continuum(unit_circle, rng):
     # the Newton step leaves out the Jacobian's null direction, so a seed
     # moved by 1e-15 lands at the same triangle of the rotational continuum
     m = EuclideanMetric()
-    for _ in range(10):
-        seed = fb.search._random_seed(unit_circle, 3, rng, 1.0)
-        nudged = seed + 1e-15 * rng.standard_normal(seed.shape)
-        a, _ = fb.search._refine(m, unit_circle, seed, 1e-9, 1.0, 60)
-        b, _ = fb.search._refine(m, unit_circle, nudged, 1e-9, 1.0, 60)
+    seeds = np.array([fb.search._random_seed(unit_circle, 3, rng, 1.0) for _ in range(10)])
+    nudged = seeds + 1e-15 * rng.standard_normal(seeds.shape)
+    for (a, _), (b, _) in zip(fb.search._refine(m, unit_circle, seeds, 1e-9, 1.0, 60),
+                              fb.search._refine(m, unit_circle, nudged, 1e-9, 1.0, 60)):
         assert np.max(np.abs(a - b)) <= 1e-8
 
 

@@ -18,6 +18,7 @@ from finsler_billiards import (
     tangent_basis,
 )
 from finsler_billiards.tables import (
+    _hess_rows,
     _largest_axis,
     _project,
     _project_rows,
@@ -167,9 +168,14 @@ def test_frame_rows_match_gram_schmidt_of_the_axes_bit_for_bit(d, rng):
 def test_row_fields_match_the_point_kernels_bit_for_bit(semi_axes, eps, rng):
     table = ellipsoid_table(semi_axes, eps=eps, coeffs=rng.uniform(-1.0, 1.0, len(semi_axes)))
     X = np.array(list(sample_points(table, rng, 300)))
-    phi, grad = table._row_fields
+    phi, grad, hess = table._row_fields
     assert phi(X).tobytes() == np.array([table._phi(x) for x in X]).tobytes()
     assert grad(X).tobytes() == np.array([table._grad(x) for x in X]).tobytes()
+    # _ellipsoid_fields's hess, per component on Python floats
+    assert hess(X).tobytes() == np.array([table._hess(x) for x in X]).tobytes()
+    custom = ConvexTable(table._phi_fn, table._grad_fn, table.bounding_radius, table.dim)
+    assert (_hess_rows(custom, X[:20]).tobytes()
+            == np.array([custom._hess(x) for x in X[:20]]).tobytes())
 
 
 def check_projection_rows(table, A):
