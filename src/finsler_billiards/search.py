@@ -319,9 +319,12 @@ def canonicalize(polygon, cluster_tol: float) -> tuple:
     and reported if unresolved.
     """
     _check_tol("cluster_tol", cluster_tol)
-    pts = _points_array(polygon)
+    return _canonical_rotation(_points_array(polygon), float(cluster_tol))[0]
+
+
+def _canonical_rotation(pts: np.ndarray, tol: float) -> tuple[tuple, int]:
+    """``canonicalize``'s key and the rotation s whose vertices, from vertex s on, give it."""
     r = pts.shape[0]
-    tol = float(cluster_tol)
     for _ in range(3):
         rots = [np.roll(pts, -s, axis=0) for s in range(r)]
         keys = sorted((tuple(int(k) for k in np.round(rot / tol).ravel()), s)
@@ -329,9 +332,24 @@ def canonicalize(polygon, cluster_tol: float) -> tuple:
         best_key, best_s = keys[0]
         if all(np.max(np.abs(rots[best_s] - rots[s])) <= tol
                for key, s in keys[1:] if key == best_key):
-            return best_key
+            return best_key, best_s
         tol /= 10.0
     raise AmbiguousCanonicalization("cyclic rotations tie under rounding but differ beyond it")
+
+
+def _at_canonical_rotation(record: OrbitRecord, cluster_tol: float) -> OrbitRecord:
+    """The record with its polygon's vertices and segments rolled to the canonical rotation.
+
+    The polygon starts at the vertex that ``canonicalize`` puts first.  Its
+    cyclic length and shortest edge do not depend on the start, and the edge
+    product is taken again in the new order.
+    """
+    poly = record.polygon
+    _, s = _canonical_rotation(poly.positions(), float(cluster_tol))
+    segments = poly.segments[s:] + poly.segments[:s]
+    return replace(record, polygon=replace(
+        poly, vertices=poly.vertices[s:] + poly.vertices[:s], segments=segments,
+        edge_product=float(math.prod(seg.length for seg in segments))))
 
 
 def rotation_number(polygon, centroid=None) -> int:
@@ -790,7 +808,9 @@ def find_critical(metric: FinslerMetric, table: ConvexTable, r: int,
     traces.  Converged polygons are filtered by the edge-product and minimum
     edge guards and deduplicated modulo cyclic relabeling.  Hessian-degenerate
     classes are flagged ``continuum-suspect`` and reported once per critical
-    family (see ``_merge_families``); records are sorted by cyclic length.
+    family (see ``_merge_families``).  Each record's polygon starts at the
+    vertex its canonical key starts at, and records are sorted by cyclic
+    length.
     """
     _check_int("period r", r, 2)
     if metric.dim is not None and metric.dim != table.dim:
@@ -862,7 +882,8 @@ def find_critical(metric: FinslerMetric, table: ConvexTable, r: int,
             flags=tuple(flags),
             multiplicity=count,
         ))
-    records = _merge_families(records, _FAMILY_LAMBDA_REL * scale)
+    records = [_at_canonical_rotation(rec, cluster_tol)
+               for rec in _merge_families(records, _FAMILY_LAMBDA_REL * scale)]
     records.sort(key=lambda rec: (rec.polygon.lambda_value, rec.canonical_key))
     return records
 

@@ -845,6 +845,26 @@ def test_search_is_deterministic(unit_circle):
     assert ja == jb
 
 
+def test_records_start_at_the_canonical_rotation(bumpy_ellipsoid, unit_circle):
+    # each reported polygon starts at the vertex its canonical key starts at,
+    # with its segments rolled along, so a class's representative does not
+    # depend on which member of it was kept.  Rolling changes the edge
+    # product's low bits only: it is the product make_polygon takes in the
+    # new order, and the cyclic length and shortest edge are the same
+    metric = EuclideanMetric()
+    for table, rng_seed in ((bumpy_ellipsoid, 5), (unit_circle, 1)):
+        cfg = SearchConfig(seeds=30, rng_seed=rng_seed)
+        tol = cfg.resolved(table, 3)["cluster_tol"]
+        for rec in find_critical(metric, table, 3, cfg):
+            poly = rec.polygon
+            assert fb.search._canonical_rotation(poly.positions(), tol) == (rec.canonical_key, 0)
+            assert all(np.array_equal(seg.start, v.position.components)
+                       for seg, v in zip(poly.segments, poly.vertices))
+            again = make_polygon(metric, table, poly.positions())
+            for field in ("lambda_value", "min_edge", "edge_product"):
+                assert getattr(again, field) == getattr(poly, field)
+
+
 def test_same_orbit_from_different_seeds_shares_canonical_key(bumpy_ellipsoid):
     recs = find_critical(EuclideanMetric(), bumpy_ellipsoid, 3,
                          SearchConfig(seeds=30, rng_seed=5))
