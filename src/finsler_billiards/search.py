@@ -204,7 +204,11 @@ def length_function(metric: FinslerMetric, polygon) -> float:
 
 
 class _Evaluation(NamedTuple):
-    """``_grad_flat``'s result; row j of departing/arriving belongs to chord j -> j+1."""
+    """``_grad_flat``'s result; row j of departing/arriving belongs to chord j -> j+1.
+
+    A stack of evaluations (``_evaluate_stack``, ``_stacked``) holds each
+    field as one array with a leading polygon axis.
+    """
 
     grad: np.ndarray  # flattened to r*(d-1)
     normals: list  # table._grad at each vertex

@@ -425,7 +425,7 @@ def _project_rows(table: ConvexTable, A: np.ndarray):
             except FinslerBilliardsError:
                 ok[i] = False
         return points, grads, ok
-    phi, grad = table._row_fields[:2]
+    phi, grad, _ = table._row_fields
     target = _PROJECT_TARGET_REL * table.scale
     accept = BOUNDARY_TOL_REL * table.scale
     f = phi(points)

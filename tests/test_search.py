@@ -195,6 +195,12 @@ def test_morse_index_two_bounce_orbit(semi_axes, axis, expected):
     assert morse_index(EuclideanMetric(), table, pts) == expected
 
 
+def evaluation_stack(metric, table, polygons):
+    """_grad_flat of each polygon, as one stacked evaluation."""
+    evaluations = [fb.search._grad_flat(metric, table, p) for p in polygons]
+    return fb.search._Evaluation(*(np.array(field) for field in zip(*evaluations)))
+
+
 def jacobian(metric, table, pts, base):
     """The one Jacobian assembly on a stack of one polygon; None where it fails."""
     J, ok = fb.search._jacobian(metric, table, pts[None], fb.search._stacked(base))
@@ -358,8 +364,7 @@ def test_larmor_diameter_has_no_chart_hessian(unit_circle):
     base = fb.search._grad_flat(metric, unit_circle, pts)
     other = circle_polygon([10, 150])
     stack = np.array([other, pts, other])
-    evaluations = [fb.search._grad_flat(metric, unit_circle, p) for p in stack]
-    stacked = fb.search._Evaluation(*(np.array(f) for f in zip(*evaluations)))
+    stacked = evaluation_stack(metric, unit_circle, stack)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert jacobian(metric, unit_circle, pts, base) is None
@@ -367,7 +372,7 @@ def test_larmor_diameter_has_no_chart_hessian(unit_circle):
         with pytest.raises(InvalidParameters, match="chart Hessian is undefined"):
             morse_index(metric, unit_circle, pts)
     assert ok.tolist() == [True, False, True]
-    ref = polygon_jacobian(metric, unit_circle, other, evaluations[0])
+    ref = polygon_jacobian(metric, unit_circle, other, fb.search._rows(stacked, 0))
     assert J[0].tobytes() == J[2].tobytes() == ref.tobytes()
 
 
@@ -454,8 +459,10 @@ def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         rows.update(dict.fromkeys(rows, 0))
         results = fb.search._refine(metric, table, seeds, 1e-9, table.scale, 60)
-        assert sum(res is not None for res in results) >= 2
-        assert 0 < calls["_jacobian"] <= 60
+        # seed 1 runs out of max_iter, so the loop runs all 60 iterations,
+        # one Jacobian stack each
+        assert [res is not None for res in results] == [True, False, True, True]
+        assert calls["_jacobian"] == 60
         assert rows["_jacobian"] >= 4 + calls["_jacobian"] - 1  # all 4 seeds in the first
         assert rows["full_steps"] == rows["_jacobian"]
         assert calls["_line_search"] < rows["_jacobian"]
@@ -603,8 +610,7 @@ def test_stacked_candidates_match_retract_and_safe_grad_bit_for_bit(make_metric,
         assert check_stack(metric, table, pts, ev, np.multiply.outer([1.0, 0.5], step)) == 2
         # a polygon per row, as the Newton loop's full steps are
         bases = np.array([random_polygon(table, 3, rng) for _ in range(5)])
-        stacked = fb.search._Evaluation(*(np.array(field) for field in zip(
-            *(fb.search._grad_flat(metric, table, p) for p in bases))))
+        stacked = evaluation_stack(metric, table, bases)
         steps = 0.2 * rng.standard_normal((5, m))
         steps[2, 0] = np.nan
         assert check_stack(metric, table, bases, stacked, steps) >= 1

@@ -213,9 +213,9 @@ def test_projection_rows_match_the_scalar_projection_bit_for_bit(semi_axes, eps,
 
 
 def hooked_table(phi, grad, phi_rows, grad_rows):
-    """A planar custom table that also carries row kernels."""
+    """A planar custom table that also carries row kernels; the projections need no Hessian."""
     table = ConvexTable(phi, grad, 2.0, 2)
-    table._row_fields = (phi_rows, grad_rows)
+    table._row_fields = (phi_rows, grad_rows, None)
     return table
 
 
