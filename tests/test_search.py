@@ -731,7 +731,9 @@ def test_refine_matches_the_sequential_line_search(case):
     # the lockstep loop over one stack of seeds gives every seed the bytes, or
     # None, of its own Newton loop with the sequential line search.  Each stack
     # holds a seed whose projection fails (a vertex at the centre, where the
-    # gradient vanishes) and seeds that end on each of the loop's stops
+    # gradient vanishes) and seeds that converge after different numbers of
+    # iterations; drift3d and Riemannian seeds also run out of max_iter, and a
+    # Riemannian one stops on a failed line search
     metric, table, count = REFINE_CASES[case]
     seeds = search_seeds(metric, table, 3, 0, count)
     seeds.insert(1, np.array([seeds[0][0], np.zeros(table.dim), seeds[0][2]]))
