@@ -467,15 +467,14 @@ def _chord_derivative_rows(metric, P, frames):
     """
     n, r, d = P.shape
     ok = np.ones(n, dtype=bool)
-    # F_j^T as the transposed view that _chord_derivatives multiplies by
-    Ft = frames.transpose(0, 1, 3, 2)
     if isinstance(metric, (EuclideanMetric, MinkowskiMetric)):
         nxt = np.arange(1, r + 1) % r
         E = P[:, nxt] - P
         norms = np.sqrt(np.vecdot(E, E))[..., None]
         vhat = E / norms
         A = (np.eye(d) - vhat[..., :, None] * vhat[..., None, :]) / norms[..., None]
-        by_j = np.matmul(-A, Ft)
+        # F_j^T and F_k^T as the transposed views that _chord_derivatives multiplies by
+        by_j = np.matmul(-A, frames.transpose(0, 1, 3, 2))
         by_k = np.matmul(A, frames[:, nxt].transpose(0, 1, 3, 2))
         return (by_j, by_k, by_j, by_k), ok
     blocks = tuple(np.zeros((n, r, d, d - 1)) for _ in range(4))
