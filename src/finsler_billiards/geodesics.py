@@ -35,6 +35,7 @@ __all__ = ["GeodesicSegment", "connect", "integrate_geodesic", "intersect_forwar
 _TMIN_REL = 1e-6
 _HORIZON_RADII = 8.0
 _COINCIDENT_REL = 1e-12  # endpoints closer than this x (1 + their largest norm) coincide
+_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])  # _rot90 as a matrix
 
 
 @dataclass(frozen=True)
@@ -140,10 +141,32 @@ def _arc_tangent_derivatives(metric: MagneticMetric, x: np.ndarray, y: np.ndarra
     omega = _turn(metric)
     outer = np.outer(chat, chat)
     P = (np.eye(2) - outer) / w
-    J = np.array([[0.0, -1.0], [1.0, 0.0]])  # _rot90 as a matrix
+    J = _QUARTER_TURN
     even = k * P - (s / (2.0 * R * k)) * outer
     odd = omega * (s * (J @ P) + (J @ outer) / (2.0 * R))
     return even - odd, even + odd
+
+
+def _arc_tangent_derivative_rows(metric: MagneticMetric, X: np.ndarray, Y: np.ndarray):
+    """``_arc_tangent_derivatives`` of each arc x -> y of (..., 2) rows: (du_x, du_y, ok).
+
+    Each row's (2, 2) blocks are the scalar call's to the last bit, and ok is
+    False where it raises (k = 0).
+    """
+    R = metric.larmor_radius
+    omega = _turn(metric)
+    C = Y - X
+    w = np.sqrt(np.vecdot(C, C))[..., None, None]
+    s = 0.5 * w / R
+    k = np.sqrt(np.maximum(1.0 - s * s, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):  # on rows with w = 0 or k = 0
+        chat = C / w[..., 0]
+        outer = chat[..., :, None] * chat[..., None, :]
+        P = (np.eye(2) - outer) / w
+        even = k * P - (s / (2.0 * R * k)) * outer
+        odd = omega * (s * np.matmul(_QUARTER_TURN, P)
+                       + np.matmul(_QUARTER_TURN, outer) / (2.0 * R))
+    return even - odd, even + odd, ~(k[..., 0, 0] == 0.0)
 
 
 def connect(metric: FinslerMetric, x, y) -> GeodesicSegment:
@@ -168,6 +191,38 @@ def _connect(metric: FinslerMetric, xa: np.ndarray, ya: np.ndarray) -> GeodesicS
         )
     _check_connectable(metric)
     return _connect_magnetic(metric, xa, ya)
+
+
+def _tangent_rows(metric: FinslerMetric, X: np.ndarray, Y: np.ndarray):
+    """``_connect``'s tangents at both ends of each chord x -> y of (..., d) rows: (start, end, ok).
+
+    ok is False where ``_connect`` raises.  A straight chord's tangent is
+    y - x at both ends.  A Larmor arc's are ``_connect_magnetic``'s t_start
+    and t_end, with its float operations (Python's % as ``np.remainder``) and
+    each of its checks as a mask.  ``_unit`` of a tangent at its end is the
+    segment's unit tangent there.
+    """
+    C = Y - X
+    dist = np.sqrt(np.vecdot(C, C))
+    reach = 1.0 + np.maximum(np.sqrt(np.vecdot(X, X)), np.sqrt(np.vecdot(Y, Y)))
+    ok = ~(dist <= _COINCIDENT_REL * reach)
+    if metric.flat_geodesics:
+        return C, C, ok
+    R = metric.larmor_radius
+    h = 0.5 * dist
+    omega = _turn(metric)
+    q = np.sqrt(np.maximum(R * R - h * h, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):  # on coincident rows
+        chat = C / dist[..., None]
+        rotated = np.stack([-chat[..., 1], chat[..., 0]], -1)  # _rot90
+        center = 0.5 * (X + Y) + (omega * q)[..., None] * rotated
+        theta_x = np.arctan2(X[..., 1] - center[..., 1], X[..., 0] - center[..., 0])
+        theta_y = np.arctan2(Y[..., 1] - center[..., 1], Y[..., 0] - center[..., 0])
+        sweep = np.remainder(omega * (theta_y - theta_x), 2.0 * np.pi)
+    ok &= ~(h > R * (1.0 + 1e-12)) & ~(sweep > np.pi * (1.0 + 1e-9))
+    theta = np.stack([theta_x, theta_x + omega * sweep])  # _arc_tangent at both ends
+    start, end = omega * np.stack([-np.sin(theta), np.cos(theta)], -1)
+    return start, end, ok
 
 
 def _check_connectable(metric: FinslerMetric) -> None:

@@ -157,6 +157,11 @@ class FinslerMetric:
     # accuracy of the dual-norm/maximizer path; built-ins override with
     # closed forms good to machine precision
     dual_accuracy = 1e-7
+    # _covector_rows(X, V) -> (covectors, ok): DL(x, _unit(x, v)) over the rows
+    # of (..., d) arrays, each row the scalar pair's to the last bit, and ok
+    # False where the pair raises.  A metric that sets it also takes (..., d)
+    # rows in _Lvv.  Set by the built-in metrics only
+    _covector_rows = None
 
     # -- raw numerical surface -------------------------------------------
 
@@ -365,13 +370,33 @@ class _RandersMetric(FinslerMetric):
     Subclasses supply the drift covector ``alpha_at(x)`` and guarantee its
     norm is below 1, so the kernels below never re-check it.  The indicatrix
     is an ellipsoid of revolution about the drift axis with a focus at the
-    origin, which gives closed-form duals.
+    origin, which gives closed-form duals.  ``_covector_rows`` takes a
+    stack's drifts from ``_alpha_rows``.
     """
 
     dual_accuracy = 1e-14
 
     def alpha_at(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _alpha_rows(self, X: np.ndarray):
+        """``alpha_at`` over the rows of a (..., d) array: (drifts, ok), ok False where it raises.
+
+        A constant drift never raises, and its ``alpha_at`` takes the rows as
+        they are.
+        """
+        return self.alpha_at(X), np.ones(X.shape[:-1], dtype=bool)
+
+    def _covector_rows(self, X, V):
+        # _unit's and then _DL's float operations, each of their checks a mask
+        A, ok = self._alpha_rows(X)
+        vn = np.sqrt(np.vecdot(V, V))
+        L = vn + np.vecdot(A, V)
+        with np.errstate(divide="ignore", invalid="ignore"):  # on rows that fail
+            U = V / L[..., None]
+            un = np.sqrt(np.vecdot(U, U))
+            D = U / un[..., None] + A
+        return D, ok & ~(vn < _ZERO_DIRECTION) & (L > 0.0) & ~(un == 0.0)
 
     def _L(self, x, v):
         return float(_norm(v) + self.alpha_at(x) @ v)
@@ -398,9 +423,9 @@ class _RandersMetric(FinslerMetric):
         return 2.0 * float((Du - self.alpha_at(x)) @ p) / float(p @ p)
 
     def _Lvv(self, x, v):
-        n = _norm(v)
+        n = np.sqrt(np.vecdot(v, v))[..., None]
         vh = v / n
-        return (np.eye(v.size) - np.outer(vh, vh)) / n
+        return (np.eye(v.shape[-1]) - vh[..., :, None] * vh[..., None, :]) / n[..., None]
 
     def _Ly(self, x, v):
         return np.zeros(x.size)
@@ -422,7 +447,7 @@ class EuclideanMetric(_RandersMetric):
         self.dim = dim
 
     def alpha_at(self, x):
-        return np.zeros(x.size)
+        return np.zeros(x.shape)
 
 
 class RiemannianMetric(FinslerMetric):
@@ -546,6 +571,10 @@ class MagneticMetric(_RandersMetric):
         if t >= 1.0:
             raise FieldTooStrong(f"|alpha(x)| = {t} >= 1 at |x| = {_norm(x)}")
         return 0.5 * self.B * np.array([-x[1], x[0]])
+
+    def _alpha_rows(self, X):
+        t = 0.5 * abs(self.B) * np.sqrt(np.vecdot(X, X))
+        return 0.5 * self.B * np.stack([-X[..., 1], X[..., 0]], axis=-1), ~(t >= 1.0)
 
     def _Ly(self, x, v):
         return self._jac.T @ v

@@ -31,21 +31,15 @@ from .errors import (
     _check_int,
 )
 from .geodesics import (
-    _COINCIDENT_REL,
     GeodesicSegment,
+    _arc_tangent_derivative_rows,
     _arc_tangent_derivatives,
     _check_connectable,
     _connect,
+    _tangent_rows,
     connect,
 )
-from .metrics import (
-    _ZERO_DIRECTION,
-    EuclideanMetric,
-    FinslerMetric,
-    MagneticMetric,
-    MinkowskiMetric,
-    validate_field_strength,
-)
+from .metrics import FinslerMetric, MagneticMetric, validate_field_strength
 from .tables import (
     BoundaryPoint,
     ConvexTable,
@@ -461,22 +455,27 @@ def _chord_derivative_rows(metric, P, frames):
 
     blocks are the four (n, r, d, d-1) arrays (dep by x_j, dep by x_k, arr by
     x_j, arr by x_k), row [k, j] for chord j of polygon k, and ok[k] is False
-    where a chord of polygon k raises.  Euclidean and Minkowski chords are one
-    stack, with ``_Lvv``'s float operations, A = (I - vhat vhat^T) / |e|; any
-    other metric goes chord by chord.
+    where a chord of polygon k raises.  A metric with row kernels
+    (``_covector_rows``) takes the whole stack at once, straight chords through
+    its ``_Lvv`` rows and Larmor arcs through ``_arc_tangent_derivative_rows``;
+    any other metric goes chord by chord.
     """
     n, r, d = P.shape
     ok = np.ones(n, dtype=bool)
-    if isinstance(metric, (EuclideanMetric, MinkowskiMetric)):
+    if metric._covector_rows is not None:
         nxt = np.arange(1, r + 1) % r
-        E = P[:, nxt] - P
-        norms = np.sqrt(np.vecdot(E, E))[..., None]
-        vhat = E / norms
-        A = (np.eye(d) - vhat[..., :, None] * vhat[..., None, :]) / norms[..., None]
+        X, Y = P, P[:, nxt]
         # F_j^T and F_k^T as the transposed views that _chord_derivatives multiplies by
-        by_j = np.matmul(-A, frames.transpose(0, 1, 3, 2))
-        by_k = np.matmul(A, frames[:, nxt].transpose(0, 1, 3, 2))
-        return (by_j, by_k, by_j, by_k), ok
+        Fj, Fk = frames.transpose(0, 1, 3, 2), frames[:, nxt].transpose(0, 1, 3, 2)
+        if metric.flat_geodesics:
+            A = metric._Lvv(X, Y - X)
+            by_j, by_k = np.matmul(-A, Fj), np.matmul(A, Fk)
+            return (by_j, by_k, by_j, by_k), ok
+        du_x, du_y, arcs_ok = _arc_tangent_derivative_rows(metric, X, Y)
+        du_x[~arcs_ok] = du_y[~arcs_ok] = 0.0  # a failed arc's blocks are not finite
+        A = metric._Lvy(X, Y - X)  # the field's constant derivative of alpha, one (2, 2) array
+        return ((np.matmul(A - du_x, Fj), np.matmul(du_x, Fk), np.matmul(-du_y, Fj),
+                 np.matmul(A + du_y, Fk)), arcs_ok.all(axis=1))
     blocks = tuple(np.zeros((n, r, d, d - 1)) for _ in range(4))
     for k in range(n):
         try:
@@ -497,7 +496,9 @@ def _jacobian(metric, table, pts, base):
     where a chord's derivative fails.  Row block i is the derivative of
     g_i = F_i c_i, with c_i = arr_{i-1} - dep_i the difference of the Legendre
     covectors at x_i, as each vertex x_j moves along its frame rows F_j.  With
-    the chord blocks of ``_chord_derivatives``,
+    the chord blocks of ``_chord_derivatives``, taken for the whole stack by
+    ``_chord_derivative_rows`` (one pass for a metric with row kernels, chord
+    by chord otherwise),
 
         J_{i,i-1} = F_i d arr_{i-1}/d x_{i-1},   J_{i,i+1} = -F_i d dep_i/d x_{i+1},
         J_ii = F_i (d arr_{i-1}/d x_i - d dep_i/d x_i) + T_i,
@@ -569,28 +570,24 @@ def _step(metric, table, pts, frames, delta, scale):
     return None if ev is None else (cand, ev)
 
 
-def _randers_covector_rows(metric, P, E, chord):
-    """``_chord_covectors`` of every chord of an (n, r, d) stack, for Euclidean or Minkowski.
+def _chord_covector_rows(metric, P):
+    """``_chord_covectors`` of every chord of an (n, r, d) stack, for a metric with row kernels.
 
-    E and chord are the chord vectors P[:, j+1] - P[:, j] and their norms.
-    Returns (covectors, ok), with ok[k] False where a chord of polygon k
-    raises.  With ``_connect``'s coincidence check and the float operations of
-    ``_unit`` and ``_DL`` for a constant drift alpha: L = |e| + alpha.e,
-    u = e / L and D = u / |u| + alpha, which is both the departing and the
-    arriving covector.
+    Returns (departing, arriving, ok), row [k, j] for chord j -> j+1 of
+    polygon k, and ok[k] False where a chord of polygon k raises: the chords'
+    tangents (``_tangent_rows``) and then the metric's ``_covector_rows`` at
+    each end.  A straight chord's arriving covector is DL at its end of the
+    departing unit tangent, which is the departing covector: every built-in
+    metric with straight chords is translation invariant.
     """
-    r = P.shape[1]
-    alpha = metric.alpha_at(P[0, 0])
-    norms = np.sqrt(np.vecdot(P, P))
-    reach = 1.0 + np.maximum(norms, norms[:, np.arange(1, r + 1) % r])
-    L = chord + np.vecdot(E, alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):  # on chords that fail
-        u = E / L[..., None]
-        un = np.sqrt(np.vecdot(u, u))
-        D = u / un[..., None] + alpha
-    ok = (~(chord <= _COINCIDENT_REL * reach) & ~(chord < _ZERO_DIRECTION)
-          & (L > 0.0) & ~(un == 0.0)).all(axis=1)
-    return D, ok
+    Q = P[:, np.arange(1, P.shape[1] + 1) % P.shape[1]]
+    start, end, ok = _tangent_rows(metric, P, Q)
+    departing, departing_ok = metric._covector_rows(P, start)
+    ok &= departing_ok
+    if metric.flat_geodesics:
+        return departing, departing, ok.all(axis=1)
+    arriving, arriving_ok = metric._covector_rows(Q, end)
+    return departing, arriving, (ok & arriving_ok).all(axis=1)
 
 
 def _evaluate_stack(metric, table, pts, frames, steps, scale, bound=0.0):
@@ -602,10 +599,11 @@ def _evaluate_stack(metric, table, pts, frames, steps, scale, bound=0.0):
     carry the candidate as a leading axis (drops an (n, r) array), and each
     candidate's |g|, inf where ``_retract`` raises or ``_safe_grad`` returns
     None.  Every value of a candidate that passes is the scalar pair's to the
-    last bit.  Euclidean and Minkowski chords are one stack
-    (``_randers_covector_rows``).  Any other metric connects the chords
-    through ``_chord_covectors``, one candidate at a time in row order, and
-    stops after the first whose |g| is below bound; the rows after it read inf.
+    last bit.  A metric with row kernels connects every chord of the stack at
+    once (``_chord_covector_rows``) and evaluates every row.  Any other metric
+    connects the chords through ``_chord_covectors``, one candidate at a time
+    in row order, and stops after the first whose |g| is below bound; the rows
+    after it read inf.
     """
     n = steps.shape[0]
     r, d = pts.shape[-2:]
@@ -628,9 +626,8 @@ def _evaluate_stack(metric, table, pts, frames, steps, scale, bound=0.0):
         F, drops, frames_ok = _unit_complement_rows(nhat.reshape(n * r, d))
         F = F.reshape(n, r, d - 1, d)
         ok &= frames_ok.reshape(n, r).all(axis=1)
-        if isinstance(metric, (EuclideanMetric, MinkowskiMetric)):
-            departing, chords_ok = _randers_covector_rows(metric, P, E, chord)
-            arriving = departing
+        if metric._covector_rows is not None:
+            departing, arriving, chords_ok = _chord_covector_rows(metric, P)
             ok &= chords_ok
             G = np.matmul(F, (arriving[:, prev] - departing)[..., None]).reshape(n, -1)
             gn = np.sqrt(np.vecdot(G, G))

@@ -143,6 +143,24 @@ def test_magnetic_chord_longer_than_diameter_rejected():
         connect(m, [0.0, 0.0], [4.1, 0.0])
 
 
+def test_remainder_rows_match_python_modulo_on_sweeps(rng):
+    # the stacked arcs take _connect_magnetic's sweep (omega dtheta) % 2 pi with
+    # np.remainder: it must be Python's float % bit for bit, on random signed
+    # angle differences, on -0.0 and on the multiples of 2 pi and the few
+    # floats either side of them, where the remainder jumps
+    two_pi = 2.0 * np.pi
+    values = [-0.0, 0.0] + list(rng.uniform(-2.0 * two_pi, 2.0 * two_pi, 20000))
+    for m in range(-3, 4):
+        below = above = m * two_pi
+        values.append(below)
+        for _ in range(4):
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+            values += [float(below), float(above)]
+    rows = np.remainder(np.array(values), two_pi)
+    for value, row in zip(values, rows):
+        assert np.float64(value % two_pi).tobytes() == row.tobytes()
+
+
 def test_magnetic_connect_consistent_with_integrator():
     m = MagneticMetric(0.2)
     x = np.array([0.1, 0.4])

@@ -512,27 +512,68 @@ def polygon_stack(table, rng, count):
     return P
 
 
-@pytest.mark.parametrize("kind", ["euclidean", "minkowski"])
+def failing_arcs(metric):
+    """Polygons of the plane whose chords fail each way a Larmor arc can, at field B.
+
+    Chord 0 is longer than the Larmor diameter, exactly the diameter (the arc
+    connects, but its tangents have no derivative: k = 0), or ends at a vertex
+    where the drift norm |B| |x| / 2 reaches 1; the last polygon has a
+    coincident pair.
+    """
+    R = metric.larmor_radius
+    return np.array([
+        [[1.2 * R, 0.0], [-1.2 * R, 0.0], [0.0, 0.3 * R]],
+        [[R, 0.0], [-R, 0.0], [0.0, 0.3 * R]],
+        [[1.9 * R, 0.4 * R], [2.1 * R, 0.0], [1.9 * R, -0.4 * R]],
+        [[0.3 * R, 0.1 * R], [0.3 * R, 0.1 * R], [-0.2 * R, 0.2 * R]],
+    ])
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "minkowski", "magnetic"])
 def test_stacked_covectors_match_the_chord_covectors_bit_for_bit(kind, rng):
-    # the constant-drift chords as one stack; a polygon fails where a chord
-    # raises.  Other metrics loop over _chord_covectors (see the stacked
-    # candidates below)
+    # a metric's row kernels connect and differentiate every chord of a stack
+    # at once: each row is _chord_covectors' and _chord_derivatives' to the
+    # last bit, and a polygon fails exactly where one of its chords raises.
+    # The stack holds a coincident and a near-coincident pair and, for the
+    # magnetic field, chords that fail each way a Larmor arc does
     make_metric, semi_axes = JACOBIAN_METRICS[kind]
     metric, table = make_metric(), fb.ellipsoid_table(semi_axes, eps=0.02)
     P = polygon_stack(table, rng, 8)
-    E = np.roll(P, -1, axis=1) - P
-    D, ok = fb.search._randers_covector_rows(metric, P, E, np.sqrt(np.vecdot(E, E)))
+    if kind == "magnetic":
+        P = np.concatenate([P, failing_arcs(metric)])
+    d = P.shape[2]
+    frames = np.array([[orthonormal_complement(rng.standard_normal(d)) for _ in range(3)]
+                       for _ in P])
+    departing, arriving, ok = fb.search._chord_covector_rows(metric, P)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the coincident pair, as below
+        blocks, blocks_ok = fb.search._chord_derivative_rows(metric, P, frames)
+    raised, blocks_raised = [], []
     for k, pts in enumerate(P):
         try:
             pairs = [fb.search._chord_covectors(metric, pts[j], pts[(j + 1) % 3])
                      for j in range(3)]
         except fb.FinslerBilliardsError:
-            assert not ok[k]
-            continue
-        assert ok[k]
-        assert np.array([p[0] for p in pairs]).tobytes() == D[k].tobytes()
-        assert np.array([p[1] for p in pairs]).tobytes() == D[k].tobytes()
-    assert not ok[1] and not ok[2] and ok[0]
+            raised.append(k)
+        else:
+            assert np.array([p[0] for p in pairs]).tobytes() == departing[k].tobytes()
+            assert np.array([p[1] for p in pairs]).tobytes() == arriving[k].tobytes()
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):  # the coincident pair
+                chords = [fb.search._chord_derivatives(metric, pts, frames[k], j)
+                          for j in range(3)]
+        except fb.FinslerBilliardsError:
+            blocks_raised.append(k)
+        else:
+            for b, block in enumerate(blocks):
+                assert np.array([c[b] for c in chords]).tobytes() == block[k].tobytes()
+    assert np.flatnonzero(~ok).tolist() == raised
+    assert np.flatnonzero(~blocks_ok).tolist() == blocks_raised
+    assert {1, 2} <= set(raised) and 0 not in raised
+    if kind == "magnetic":
+        # too long, the field too strong and the coincident pair fail to
+        # connect; the diameter connects and fails to differentiate
+        assert raised[-3:] == [8, 10, 11]
+        assert blocks_raised == [8, 9]
 
 
 STACK_CASES = [
@@ -577,11 +618,15 @@ def check_stack(metric, table, pts, ev, steps):
         assert np.array(cand_ev.normals).tobytes() == stack.normals[k].tobytes()
         assert np.array(cand_ev.frames).tobytes() == stack.frames[k].tobytes()
         assert cand_ev.drops == stack.drops[k].tolist()
-    # chords connected one by one stop at the first row below the bound
+    # a metric with row kernels evaluates every row; chords connected one by
+    # one stop at the first row below the bound, and the rows after it read inf
     _, _, first = fb.search._evaluate_stack(metric, table, pts, ev.frames, steps, scale, np.inf)
-    j = np.argmax(np.isfinite(gns))
-    assert first[:j + 1].tobytes() == gns[:j + 1].tobytes()
-    assert all(a in (b, np.inf) for a, b in zip(first[j + 1:], gns[j + 1:]))
+    if metric._covector_rows is not None:
+        assert first.tobytes() == gns.tobytes()
+    else:
+        j = np.argmax(np.isfinite(gns))
+        assert first[:j + 1].tobytes() == gns[:j + 1].tobytes()
+        assert np.all(first[j + 1:] == np.inf)
     return failed
 
 
