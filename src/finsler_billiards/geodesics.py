@@ -348,14 +348,14 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
         # this one evaluation of the outer end is both the bracket check and the
         # root's first iterate
         at_hi = phi(horizon)
-        if at_hi[0] < 0.0:
+        if not at_hi[0] >= 0.0:  # also catches NaN
             raise NoExit("no boundary crossing within the search horizon")
         s_hit = _bracketed_root(phi, s_min, horizon, at_hi, xtol)
     else:
         s_hit = _arc_exit(phi, table.derivative_bounds, metric.larmor_radius, s_min,
                           min(horizon, 2.0 * math.pi * metric.larmor_radius), scale)
     p = path.point(s_hit)
-    if abs(table._phi(p)) > 1e-10 * scale:
+    if not abs(table._phi(p)) <= 1e-10 * scale:  # also catches NaN
         raise NoConvergence("boundary crossing did not converge to tolerance")
     return p, path.tangent(s_hit)
 

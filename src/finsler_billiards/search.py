@@ -43,6 +43,7 @@ from .metrics import FinslerMetric, MagneticMetric, validate_field_strength
 from .tables import (
     BoundaryPoint,
     ConvexTable,
+    _grad_rows,
     _hess_rows,
     _largest_axis,
     _project,
@@ -80,7 +81,7 @@ _MIN_EDGE_REL = 1e-4
 # differences its finite-difference DL, so its noise is larger, about 1e-4.
 _NEWTON_RCOND = 1e-8
 # the Newton line search's step lengths t = 2^-k > 1e-12, in the order it tries them
-_STEP_LENGTHS = tuple(0.5**k for k in range(40))
+_STEP_LENGTHS = 0.5 ** np.arange(40)
 _EIG_TOL_REL = 1e-6
 _FAMILY_LAMBDA_REL = 1e-7  # a critical family has one critical value
 
@@ -590,20 +591,13 @@ def _chord_covector_rows(metric, P):
     return departing, arriving, (ok & arriving_ok).all(axis=1)
 
 
-def _evaluate_stack(metric, table, pts, frames, steps, scale, bound=0.0):
-    """``_retract`` and then ``_safe_grad`` of polygons moved by each row of steps.
+def _retract_rows(table, pts, frames, steps):
+    """``_retract`` of polygons moved by each row of steps: (points, normals, ok).
 
     Row k moves the polygon pts[k] along its frames[k], an (n, r, d) stack and
     an (n, r, d-1, d) one; an (r, d) polygon with its r frames is moved by
-    every row.  Returns the candidate polygons, an ``_Evaluation`` whose fields
-    carry the candidate as a leading axis (drops an (n, r) array), and each
-    candidate's |g|, inf where ``_retract`` raises or ``_safe_grad`` returns
-    None.  Every value of a candidate that passes is the scalar pair's to the
-    last bit.  A metric with row kernels connects every chord of the stack at
-    once (``_chord_covector_rows``) and evaluates every row.  Any other metric
-    connects the chords through ``_chord_covectors``, one candidate at a time
-    in row order, and stops after the first whose |g| is below bound; the rows
-    after it read inf.
+    every row.  The normals are ``table._grad`` at the points, and ok[k] is
+    False where ``_retract`` raises.
     """
     n = steps.shape[0]
     r, d = pts.shape[-2:]
@@ -614,14 +608,31 @@ def _evaluate_stack(metric, table, pts, frames, steps, scale, bound=0.0):
         # a (1, d-1) row per candidate: _retract's vector-matrix product
         moved[:, i] = pts[..., i, :] + np.matmul(s[:, i:i + 1], frames[..., i, :, :])[:, 0]
     P, N, ok = _project_rows(table, moved.reshape(n * r, d))
-    P, N = P.reshape(n, r, d), N.reshape(n, r, d)
-    ok = ok.reshape(n, r).all(axis=1)
+    return P.reshape(n, r, d), N.reshape(n, r, d), ok.reshape(n, r).all(axis=1)
+
+
+def _evaluate_rows(metric, table, P, N, ok, scale, bound=0.0, owner=None):
+    """``_safe_grad`` of each polygon of an (n, r, d) stack whose normals N the caller has.
+
+    Returns an ``_Evaluation`` whose fields carry the polygon as a leading
+    axis (drops an (n, r) array), each polygon's |g| and ok: False where ok
+    was, or where ``_safe_grad`` returns None, and there |g| is inf.  Every
+    value of a polygon that passes is ``_safe_grad``'s to the last bit.  A
+    metric with row kernels connects every chord of the stack at once
+    (``_chord_covector_rows``) and evaluates every row.  Any other metric
+    connects the chords through ``_chord_covectors``, one polygon at a time in
+    row order.  There ``bound`` (a number or one per row) and ``owner`` (one
+    label per row, each label's rows contiguous; by default one label for all)
+    stop a label's rows early: after its first row whose |g| is below the
+    row's bound, its later rows read inf.
+    """
+    n, r, d = P.shape
     prev = np.arange(-1, r - 1)  # the chord arriving at each vertex
     # rows that already failed may divide by zero; their results are masked
     with np.errstate(divide="ignore", invalid="ignore"):
         E = P[:, np.arange(1, r + 1) % r] - P
         chord = np.sqrt(np.vecdot(E, E))
-        ok &= ~(chord <= _DISTINCT_REL * scale).any(axis=1)
+        ok = ok & ~(chord <= _DISTINCT_REL * scale).any(axis=1)
         nhat = N / np.sqrt(np.vecdot(N, N))[..., None]
         F, drops, frames_ok = _unit_complement_rows(nhat.reshape(n * r, d))
         F = F.reshape(n, r, d - 1, d)
@@ -634,7 +645,12 @@ def _evaluate_stack(metric, table, pts, frames, steps, scale, bound=0.0):
         else:
             departing, arriving = np.zeros((n, r, d)), np.zeros((n, r, d))
             G, gn = np.zeros((n, r * (d - 1))), np.full(n, np.inf)
+            bound = np.broadcast_to(bound, n)
+            owner = np.zeros(n, dtype=np.intp) if owner is None else owner
+            done = None  # the label whose rows read inf from here on
             for k in np.flatnonzero(ok):
+                if owner[k] == done:
+                    continue
                 try:
                     for j in range(r):
                         departing[k, j], arriving[k, j] = _chord_covectors(
@@ -644,42 +660,21 @@ def _evaluate_stack(metric, table, pts, frames, steps, scale, bound=0.0):
                     continue
                 G[k] = np.matmul(F[k], (arriving[k, prev] - departing[k])[..., None]).ravel()
                 gn[k] = _norm(G[k])
-                if gn[k] < bound:
-                    break
+                if gn[k] < bound[k]:
+                    done = owner[k]
     gn[~ok] = np.inf
-    return P, _Evaluation(G, N, F, drops.reshape(n, r), departing, arriving), gn
+    return _Evaluation(G, N, F, drops.reshape(n, r), departing, arriving), gn, ok
 
 
-def _line_search(metric, table, pts, ev, gn, delta, scale, halvings):
-    """The first step t = 2^-k, 1 > t > 1e-12, in t order, whose candidate has |g| < gn.
+def _evaluate_stack(metric, table, pts, frames, steps, scale, bound=0.0, owner=None):
+    """``_retract_rows`` and then ``_evaluate_rows``: the candidates, their evaluation and |g|.
 
-    The full step t = 1 is ``_refine``'s, and was rejected.  Returns (points,
-    evaluation, |g|, k), or None if no step does: the candidate that halving t
-    one step at a time accepts.  The steps go in groups.  The first group holds
-    max(halvings, 1) of them, halvings the previous Newton step's count, and
-    each later group twice as many as the one before.  A lone step goes through
-    ``_retract`` and ``_safe_grad``; a larger group is evaluated as one stack
-    (``_evaluate_stack``).
+    Every value of a candidate that passes is ``_retract`` and ``_safe_grad``'s
+    to the last bit; |g| is inf where either fails.
     """
-    k, size = 1, max(halvings, 1)
-    while k < len(_STEP_LENGTHS):
-        ts = _STEP_LENGTHS[k:k + size]
-        if len(ts) == 1:
-            step = _step(metric, table, pts, ev.frames, ts[0] * delta, scale)
-            if step is not None:
-                gcn = _norm(step[1].grad)
-                if gcn < gn:
-                    return step[0], step[1], gcn, k
-        else:
-            P, stack, gns = _evaluate_stack(metric, table, pts, ev.frames,
-                                            np.multiply.outer(ts, delta), scale, gn)
-            lower = np.flatnonzero(gns < gn)
-            if lower.size:
-                j = int(lower[0])
-                return P[j], _rows(stack, j), float(gns[j]), k + j
-        k += len(ts)
-        size = 2 * len(ts)
-    return None
+    P, N, ok = _retract_rows(table, pts, frames, steps)
+    ev, gn, _ = _evaluate_rows(metric, table, P, N, ok, scale, bound, owner)
+    return P, ev, gn
 
 
 def _refine(metric, table, seeds, grad_tol, scale, max_iter):
@@ -687,15 +682,20 @@ def _refine(metric, table, seeds, grad_tol, scale, max_iter):
 
     ``seeds`` is an (S, r, d) stack.  Returns one result per seed: (points,
     |g|), or None where the seed's projection or first evaluation fails or its
-    |g| ends above grad_tol.  The seeds go in lockstep.  An iteration builds
-    the live seeds' Jacobians as one stack (``_jacobian``), solves each with
-    lstsq, clips it to 0.5 scale and evaluates every full step t = 1 as one
-    stack (``_evaluate_stack``; a lone live seed's through ``_retract`` and
-    ``_safe_grad``).  A seed whose full step does not lower |g| backtracks
-    alone (``_line_search``).  A seed leaves the loop when |g| <= 1e-14 scale,
-    when its Jacobian or its line search fails, or after max_iter iterations.
-    Each seed gets the float operations of a Newton loop on it alone, so its
-    result does not depend on the other seeds.
+    |g| ends above grad_tol.  The projected seeds are evaluated as one stack
+    (``_evaluate_rows``), and then go in lockstep.  An iteration builds the
+    live seeds' Jacobians as one stack (``_jacobian``), solves each with lstsq
+    and clips it to 0.5 scale.  Each seed then accepts the first step length
+    t = 2^-k > 1e-12, in t order, whose candidate lowers |g|.  It tries them in
+    groups, and the groups of all seeds go in rounds, one ``_evaluate_stack``
+    each (``_step`` for a lone candidate, which costs less).  Round 0 holds
+    every full step t = 1, each followed by the next h lengths of a seed whose
+    last accepted step halved t h times.  Each later round holds the next
+    group of every seed that has not accepted, twice its previous group.  A
+    seed leaves the loop when |g| <= 1e-14 scale, when its Jacobian fails,
+    when no step length lowers |g|, or after max_iter iterations.  Each seed
+    gets the float operations of a Newton loop on it alone that halves t one
+    step at a time, so its result does not depend on the other seeds.
     """
     S, r, d = seeds.shape
     P = np.zeros((S, r, d))
@@ -705,29 +705,32 @@ def _refine(metric, table, seeds, grad_tol, scale, max_iter):
     gn = np.full(S, np.inf)
     halvings = np.zeros(S, dtype=np.intp)  # of each seed's last accepted step
 
-    def accept(k, pts, cand_ev, g):
-        P[k], gn[k] = pts, g
+    def accept(ks, pts, cand_ev, g):
+        P[ks], gn[ks] = pts, g
         for field, value in zip(ev, cand_ev):
-            field[k] = value
+            field[ks] = value
 
-    live = []
+    live, projected = [], []
     for k, seed in enumerate(seeds):
         try:
-            pts = np.array([project_to_boundary(table, p).position.components for p in seed])
+            projected.append([project_to_boundary(table, p).position.components for p in seed])
         except FinslerBilliardsError:
-            continue
-        first = _safe_grad(metric, table, pts, scale)
-        if first is not None:
-            accept(k, pts, first, _norm(first.grad))
-            live.append(k)
+            continue  # ends: the seed's projection
+        live.append(k)
     live = np.array(live, dtype=np.intp)
+    if live.size:
+        X = np.array(projected)
+        N = _grad_rows(table, X.reshape(-1, d)).reshape(X.shape)
+        first, gns, ok = _evaluate_rows(metric, table, X, N, np.ones(live.size, bool), scale)
+        accept(live[ok], X[ok], _rows(first, ok), gns[ok])
+        live = live[ok]  # ends: the seed's first evaluation
 
     for _ in range(max_iter):
-        live = live[~(gn[live] <= 1e-14 * scale)]
+        live = live[~(gn[live] <= 1e-14 * scale)]  # ends: converged
         if not live.size:
             break
         J, ok = _jacobian(metric, table, P[live], _rows(ev, live))
-        live, J = live[ok], J[ok]
+        live, J = live[ok], J[ok]  # ends: the Jacobian
         deltas = np.empty((live.size, r * (d - 1)))
         for j, k in enumerate(live):
             delta, *_ = np.linalg.lstsq(J[j], -ev.grad[k], rcond=_NEWTON_RCOND)
@@ -735,27 +738,35 @@ def _refine(metric, table, seeds, grad_tol, scale, max_iter):
             if dn > 0.5 * scale:
                 delta *= 0.5 * scale / dn
             deltas[j] = delta
-        if live.size == 1:
-            full = _step(metric, table, P[live[0]], ev.frames[live[0]], deltas[0], scale)
-            gns = np.array([np.inf if full is None else _norm(full[1].grad)])
-            cand, stack = (None, None) if full is None else (full[0][None], _stacked(full[1]))
-        else:
-            cand, stack, gns = _evaluate_stack(metric, table, P[live], ev.frames[live],
-                                               deltas, scale)
-        stopped = []
-        for j, k in enumerate(live):
-            if gns[j] < gn[k]:
-                accept(k, cand[j], _rows(stack, j), gns[j])
-                halvings[k] = 0
-                continue
-            step = _line_search(metric, table, P[k], _rows(ev, k), gn[k], deltas[j], scale,
-                                halvings[k])
-            if step is None:
-                stopped.append(j)
+        # per seed, by its index j in live: the next step length's index and group size
+        nxt, size = np.zeros(live.size, dtype=np.intp), 1 + halvings[live]
+        waiting = np.ones(live.size, dtype=bool)  # no step accepted yet
+        due = np.arange(live.size)
+        while due.size:
+            count = np.minimum(size[due], len(_STEP_LENGTHS) - nxt[due])
+            owner = np.repeat(due, count)  # each seed's rows contiguous, in t order
+            ends = np.cumsum(count)
+            ks = np.arange(ends[-1]) - np.repeat(ends - count - nxt[due], count)
+            rows = live[owner]
+            if owner.size == 1:
+                step = _step(metric, table, P[rows[0]], ev.frames[rows[0]],
+                             _STEP_LENGTHS[ks[0]] * deltas[owner[0]], scale)
+                gns = np.array([np.inf if step is None else _norm(step[1].grad)])
+                cand, stack = (None, None) if step is None else (step[0][None], _stacked(step[1]))
             else:
-                accept(k, *step[:3])
-                halvings[k] = step[3]
-        live = np.delete(live, stopped)
+                cand, stack, gns = _evaluate_stack(
+                    metric, table, P[rows], ev.frames[rows],
+                    _STEP_LENGTHS[ks, None] * deltas[owner], scale, gn[rows], owner)
+            lower = np.flatnonzero(gns < gn[rows])
+            if lower.size:
+                firsts = lower[np.unique(owner[lower], return_index=True)[1]]  # in t order
+                accept(rows[firsts], cand[firsts], _rows(stack, firsts), gns[firsts])
+                halvings[rows[firsts]] = ks[firsts]
+                waiting[owner[firsts]] = False
+            nxt[due] += count
+            size[due] = 2 * count
+            due = due[waiting[due] & (nxt[due] < len(_STEP_LENGTHS))]
+        live = live[~waiting]  # ends: no step length lowers |g|
     return [(P[k].copy(), float(gn[k])) if gn[k] <= grad_tol else None for k in range(S)]
 
 

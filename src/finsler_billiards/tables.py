@@ -9,9 +9,10 @@ As for ``FinslerMetric``, the underscore ``_phi``/``_grad`` are the raw
 surface the kernels call; the public ``phi``/``grad`` check coordinates first.
 Likewise ``_project`` is the projection the search's Newton loop calls, and
 ``project_to_boundary`` checks its argument before it.  ``_project_rows``,
-``_hess_rows`` and ``_unit_complement_rows`` run ``_project``, ``_hess`` and the
-tangent frames over the rows of an array, bit for bit the per-row calls, for the
-Newton loop's stacked candidates and Jacobians.
+``_grad_rows``, ``_hess_rows`` and ``_unit_complement_rows`` run ``_project``,
+``_grad``, ``_hess`` and the tangent frames over the rows of an array, bit for
+bit the per-row calls, for the Newton loop's stacked seeds, candidates and
+Jacobians.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ class ConvexTable:
     def boundary_point(self, x) -> BoundaryPoint:
         """Wrap coordinates known to lie on the boundary, validating them."""
         a = as_components(x, self.dim)
-        if abs(self.phi(a)) > BOUNDARY_TOL_REL * self.scale:
+        if not abs(self.phi(a)) <= BOUNDARY_TOL_REL * self.scale:  # also catches NaN
             raise InvalidParameters("point is not on the boundary to tolerance")
         g = self.grad(a)
         gn = _norm(g)
@@ -463,6 +464,13 @@ def _project_rows(table: ConvexTable, A: np.ndarray):
     grads[done[nonzero]] = g[nonzero]
     ok[done[~nonzero]] = False
     return points, grads, ok
+
+
+def _grad_rows(table: ConvexTable, X: np.ndarray) -> np.ndarray:
+    """``table._grad`` of each row of an (n, d) array, bit for bit, as ``_hess_rows``."""
+    if table._row_fields is None:
+        return np.array([table._grad(x) for x in X])
+    return table._row_fields[1](X)
 
 
 def _hess_rows(table: ConvexTable, X: np.ndarray) -> np.ndarray:

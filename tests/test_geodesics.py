@@ -10,6 +10,7 @@ from finsler_billiards import (
     InvalidParameters,
     MagneticMetric,
     MinkowskiMetric,
+    NoConvergence,
     NoExit,
     connect,
     integrate_geodesic,
@@ -17,6 +18,7 @@ from finsler_billiards import (
 )
 from finsler_billiards.geodesics import _drift_integral, _march_to_boundary
 from finsler_billiards.metrics import _bracketed_root
+from finsler_billiards.vectors import _norm
 
 
 def larmor_center(B, p, direction):
@@ -352,6 +354,33 @@ def test_chord_reports_no_exit_beyond_the_horizon():
                            bounding_radius=1.0, dim=2)
     with pytest.raises(NoExit):
         _march_to_boundary(EuclideanMetric(), table, np.zeros(2), np.array([0.6, 0.8]))
+
+
+def nan_beyond(radius, outer=np.inf):
+    """The unit circle as a custom table whose phi and gradient are NaN for radius < |x| < outer."""
+    def phi(x):
+        return float("nan") if radius < _norm(x) < outer else float(x @ x) - 1.0
+
+    def grad(x):
+        return np.full(2, np.nan) if radius < _norm(x) < outer else 2.0 * x
+
+    return fb.ConvexTable(phi, grad, bounding_radius=1.0, dim=2)
+
+
+def test_chord_with_a_nan_phi_at_the_horizon_has_no_exit():
+    # phi(horizon) is NaN: no bracket, where `phi < 0` let a NaN through and
+    # the root finder returned a "crossing" near (-7.6, 2.6) with phi NaN
+    with pytest.raises(NoExit):
+        _march_to_boundary(EuclideanMetric(), nan_beyond(1.5), np.zeros(2),
+                           np.array([-0.945, 0.326]))
+
+
+@pytest.mark.parametrize("radius, outer", [(0.999, 7.0), (1.0 - 1e-12, 1.5)])
+def test_chord_root_at_a_nan_phi_does_not_converge(radius, outer):
+    # the horizon brackets a root, but the root finder ends where phi is NaN
+    with pytest.raises(NoConvergence):
+        _march_to_boundary(EuclideanMetric(), nan_beyond(radius, outer), np.zeros(2),
+                           np.array([-0.945, 0.326]))
 
 
 def test_intersect_rejects_grazing_and_outward(unit_circle):

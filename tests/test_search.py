@@ -408,40 +408,59 @@ def polygon_jacobian(metric, table, pts, base):
     return J
 
 
+def rounds_by_iteration(events):
+    """Split _refine's logged calls into iterations: [(Jacobian rows, [round, ...]), ...].
+
+    A round is ("stack", owner, bound, |g|) for an _evaluate_stack or ("step",)
+    for a lone candidate's _step.
+    """
+    iterations = []
+    for event in events:
+        if event[0] == "_jacobian":
+            iterations.append((event[1], []))
+        else:
+            iterations[-1][1].append(event)
+    return iterations
+
+
+def rejected(round_):
+    """The labels of a stack round none of whose rows lowers its seed's |g|."""
+    _, owner, bound, gns = round_
+    return sorted(set(owner.tolist()) - set(owner[gns < bound].tolist()))
+
+
 def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
-    # the Newton loop's accepted evaluation is the Jacobian's base.  Each
-    # iteration builds one Jacobian stack over the live seeds, and each live
-    # seed's full step is one row of one _evaluate_stack (or, for a lone live
-    # seed, one _retract and one _grad_flat, r chords).  A rejected full step
-    # backtracks in _line_search, whose groups of several steps are one
-    # _evaluate_stack each, projected through _project_rows with no straight
-    # chord connected.  The Jacobian of straight chords connects no chord and
-    # projects no point, with or without a closed-form Hessian of the table.
-    # The loop calls the raw _connect and _project; the public entries only
-    # project the seeds
+    # the Newton loop's accepted evaluation is the Jacobian's base.  The
+    # projected seeds are evaluated as one stack (_grad_rows for their
+    # normals, then _evaluate_rows).  Each iteration builds one Jacobian
+    # stack over the live seeds and then backtracks in rounds: one
+    # _evaluate_stack per round (a round of one candidate is one _step: one
+    # _retract and one _grad_flat, r chords).  Round 0 holds every live
+    # seed's rows, and each later round every seed the round before it
+    # rejected, each seed's rows contiguous.  Stacks project through
+    # _project_rows and connect no straight chord.  The Jacobian of straight
+    # chords connects no chord and projects no point, with or without a
+    # closed-form Hessian of the table.  The loop calls the raw _connect and
+    # _project; the public entries only project the seeds
     metric, table = EuclideanMetric(), fb.ellipsoid_table([1.0, 1.3, 1.7], eps=0.02)
     calls = dict.fromkeys(["connect", "_connect", "project_to_boundary", "_project",
                            "_project_rows", "_grad_flat", "_retract", "_jacobian",
-                           "_line_search", "_evaluate_stack", "_step"], 0)
-    rows = dict.fromkeys(["_project_rows", "_evaluate_stack", "_jacobian", "full_steps"], 0)
-    searching = []  # whether a _line_search is running
+                           "_evaluate_stack", "_evaluate_rows", "_grad_rows", "_step"], 0)
+    rows = dict.fromkeys(["_project_rows", "_evaluate_stack", "_grad_rows"], 0)
+    events = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            searching.append(name == "_line_search" or (searching and searching[-1]))
-            try:
-                out = fn(*args, **kwargs)
-            finally:
-                inside = searching.pop()
+            out = fn(*args, **kwargs)
             calls[name] += 1  # after the call: a retraction that raises is no candidate
-            if name == "_project_rows":
-                rows[name] += args[1].shape[0]
-            if name == "_evaluate_stack":
-                rows[name] += args[4].shape[0]
+            if name in rows:
+                rows[name] += args[1 if name != "_evaluate_stack" else 4].shape[0]
             if name == "_jacobian":
-                rows[name] += args[2].shape[0]
-            if (name == "_evaluate_stack" or name == "_step") and not inside:
-                rows["full_steps"] += args[4].shape[0] if args[4].ndim == 2 else 1
+                events.append((name, args[2].shape[0]))
+            if name == "_evaluate_stack":
+                events.append(("stack", args[7], args[6], out[2]))
+            if name == "_step":
+                events.append(("step",))
             return out
         return wrapper
 
@@ -458,18 +477,41 @@ def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
 
         calls.update(dict.fromkeys(calls, 0))
         rows.update(dict.fromkeys(rows, 0))
+        events.clear()
         results = fb.search._refine(metric, table, seeds, 1e-9, table.scale, 60)
         # seed 1 runs out of max_iter, so the loop runs all 60 iterations,
         # one Jacobian stack each
         assert [res is not None for res in results] == [True, False, True, True]
         assert calls["_jacobian"] == 60
-        assert rows["_jacobian"] >= 4 + calls["_jacobian"] - 1  # all 4 seeds in the first
-        assert rows["full_steps"] == rows["_jacobian"]
-        assert calls["_line_search"] < rows["_jacobian"]
-        assert calls["_evaluate_stack"] > 0
-        assert calls["_grad_flat"] == 4 + calls["_retract"] == 4 + calls["_step"]
+        iterations = rounds_by_iteration(events)
+        assert iterations[0][0] == 4  # all 4 seeds in the first
+        backtracked = 0
+        for live, rounds in iterations:
+            first = rounds[0]
+            if first[0] == "step":
+                assert live == 1
+            else:
+                assert set(first[1].tolist()) == set(range(live))
+            for before, after in zip(rounds, rounds[1:]):
+                # the seeds the round before rejected, and only they, have their next group here
+                due = rejected(before) if before[0] == "stack" else [0]
+                assert due and (len(due) == 1 if after[0] == "step"
+                                else sorted(set(after[1].tolist())) == due)
+                backtracked += 1
+            if rounds[-1][0] == "stack":
+                assert rejected(rounds[-1]) == []  # no seed left without a step
+            for round_ in rounds:
+                if round_[0] == "stack":
+                    owner = round_[1]
+                    assert (np.diff(owner) >= 0).all()  # each seed's rows contiguous
+        assert backtracked > 0
+        assert calls["_evaluate_stack"] + calls["_step"] == sum(len(r) for _, r in iterations)
+        # the seeds: one projection per vertex, one stacked evaluation, no _grad_flat
+        assert calls["project_to_boundary"] == 3 * 4
+        assert (calls["_grad_rows"], rows["_grad_rows"]) == (1, 3 * 4)
+        assert calls["_evaluate_rows"] == 1 + calls["_evaluate_stack"]
+        assert calls["_grad_flat"] == calls["_retract"] == calls["_step"]
         assert calls["connect"] + calls["_connect"] == 3 * calls["_grad_flat"]
-        assert calls["project_to_boundary"] == 3 * 4  # the seeds, once per vertex
         assert calls["_project"] == 3 * calls["_retract"]
         assert calls["_project_rows"] == calls["_evaluate_stack"]
         assert rows["_project_rows"] == 3 * rows["_evaluate_stack"]
@@ -618,15 +660,21 @@ def check_stack(metric, table, pts, ev, steps):
         assert np.array(cand_ev.normals).tobytes() == stack.normals[k].tobytes()
         assert np.array(cand_ev.frames).tobytes() == stack.frames[k].tobytes()
         assert cand_ev.drops == stack.drops[k].tolist()
-    # a metric with row kernels evaluates every row; chords connected one by
-    # one stop at the first row below the bound, and the rows after it read inf
-    _, _, first = fb.search._evaluate_stack(metric, table, pts, ev.frames, steps, scale, np.inf)
-    if metric._covector_rows is not None:
-        assert first.tobytes() == gns.tobytes()
-    else:
-        j = np.argmax(np.isfinite(gns))
-        assert first[:j + 1].tobytes() == gns[:j + 1].tobytes()
-        assert np.all(first[j + 1:] == np.inf)
+    # a metric with row kernels evaluates every row.  Chords connected one by
+    # one stop each seed's rows (here the first and the second half, one seed
+    # never stopping and the other at its first finite row) at its first row
+    # below the row's bound, and that seed's rows after it read inf
+    owner = np.repeat([0, 1], [len(steps) // 2, len(steps) - len(steps) // 2])
+    for stops in (0, 1):
+        bound = np.where(owner == stops, np.inf, 0.0)
+        _, _, first = fb.search._evaluate_stack(metric, table, pts, ev.frames, steps, scale,
+                                                bound, owner)
+        expected = gns.copy()
+        if metric._covector_rows is None:
+            rows = np.flatnonzero(owner == stops)
+            j = rows[np.argmax(np.isfinite(gns[rows]))]
+            expected[j + 1:rows[-1] + 1] = np.inf
+        assert first.tobytes() == expected.tobytes()
     return failed
 
 
@@ -662,6 +710,32 @@ def test_stacked_candidates_match_retract_and_safe_grad_bit_for_bit(make_metric,
 
 
 @pytest.mark.parametrize("make_metric, semi_axes, eps", STACK_CASES)
+def test_stacked_seeds_match_safe_grad_bit_for_bit(make_metric, semi_axes, eps, rng):
+    # _refine evaluates its projected seeds as one stack, with their normals
+    # from _grad_rows: every seed gets _safe_grad's evaluation to the last bit
+    # and fails where _safe_grad returns None (a coincident and a
+    # near-coincident pair), on a table with row kernels and on one without
+    metric = make_metric(len(semi_axes))
+    ellipsoid = fb.ellipsoid_table(semi_axes, eps=eps)
+    for table in (ellipsoid, without_hessian(ellipsoid)):
+        P = polygon_stack(table, rng, 5)
+        N = fb.tables._grad_rows(table, P.reshape(-1, P.shape[2])).reshape(P.shape)
+        stack, gns, ok = fb.search._evaluate_rows(metric, table, P, N,
+                                                  np.ones(len(P), dtype=bool), table.scale)
+        for k, pts in enumerate(P):
+            ev = fb.search._safe_grad(metric, table, pts, table.scale)
+            assert ok[k] == (ev is not None)
+            if ev is None:
+                assert gns[k] == np.inf
+                continue
+            assert np.float64(gns[k]).tobytes() == np.float64(_norm(ev.grad)).tobytes()
+            for field in ("grad", "departing", "arriving", "normals", "frames"):
+                assert np.array(getattr(ev, field)).tobytes() == getattr(stack, field)[k].tobytes()
+            assert ev.drops == stack.drops[k].tolist()
+        assert ok.tolist() == [True, False, False, True, True]
+
+
+@pytest.mark.parametrize("make_metric, semi_axes, eps", STACK_CASES)
 def test_stacked_jacobian_matches_the_polygon_assembly_bit_for_bit(make_metric, semi_axes,
                                                                    eps, rng):
     # every polygon of a stack, from _evaluate_stack as the Newton loop builds
@@ -685,13 +759,14 @@ def test_stacked_jacobian_matches_the_polygon_assembly_bit_for_bit(make_metric, 
             assert row.tobytes() == ref.tobytes()
 
 
-def reference_refine(metric, table, seed_pts, grad_tol, scale, max_iter):
+def reference_refine(metric, table, seed_pts, grad_tol, scale, max_iter, steps=None):
     """One seed's Newton loop, with the line search that halves t from 1 one step at a time.
 
     Returns (_refine's result for the seed, the most halvings of an accepted
     step, why the loop ended, its iterations).  The loop ends on "projection"
     (the seed's), "converged" (|g| <= 1e-14 scale), "jacobian", "line search"
-    or "max_iter".
+    or "max_iter".  A ``steps`` list gets each line search's halvings, None
+    for the one that finds no step.
     """
     search = fb.search
     try:
@@ -733,6 +808,8 @@ def reference_refine(metric, table, seed_pts, grad_tol, scale, max_iter):
                     break
             t *= 0.5
             halvings += 1
+        if steps is not None:
+            steps.append(halvings if accepted else None)
         if not accepted:
             reason = "line search"
             break
@@ -801,6 +878,56 @@ def test_refine_matches_the_sequential_line_search(case):
         assert most >= 8 and "max_iter" in reasons
     if case == "riemannian":
         assert {"max_iter", "line search"} <= reasons
+
+
+def groups_needed(h, k):
+    """Groups of step lengths a seed tries, the first 1 + h long, until it accepts 2^-k.
+
+    k is None where no step length lowers |g|: the seed tries all of them.
+    """
+    last = len(fb.search._STEP_LENGTHS) - 1 if k is None else k
+    end = size = 1 + h
+    groups = 1
+    while end <= last:
+        size *= 2
+        end += size
+        groups += 1
+    return groups
+
+
+@pytest.mark.parametrize("case", ["drift3d", "riemannian"])
+def test_backtracking_rounds_follow_the_seed_that_needs_most_groups(case, monkeypatch):
+    # each iteration backtracks in as many rounds as its live seed with the
+    # most groups needs.  A seed's first group holds its full step and as many
+    # lengths as its last accepted step halved, and each later group twice as
+    # many as the one before; the halvings are the sequential line search's
+    metric, table, count = REFINE_CASES[case]
+    seeds = search_seeds(metric, table, 3, 0, count)
+    rounds = []  # per iteration, its _evaluate_stack and _step calls
+
+    def counted(fn, iteration=False):
+        def wrapper(*args):
+            if iteration:
+                rounds.append(0)
+            else:
+                rounds[-1] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(fb.search, "_jacobian", counted(fb.search._jacobian, iteration=True))
+    for name in ("_evaluate_stack", "_step"):
+        monkeypatch.setattr(fb.search, name, counted(getattr(fb.search, name)))
+    fb.search._refine(metric, table, np.array(seeds), 1e-9, table.scale, 60)
+    needed = []  # per seed, the groups each of its line searches needs
+    for seed_pts in seeds:
+        halvings = []
+        reference_refine(metric, table, seed_pts, 1e-9, table.scale, 60, halvings)
+        previous = [0] + halvings[:-1]
+        needed.append([groups_needed(h, k) for h, k in zip(previous, halvings)])
+    expected = [max(n[i] for n in needed if len(n) > i) for i in range(len(rounds))]
+    assert rounds == expected
+    mixed = [{n[i] for n in needed if len(n) > i} for i in range(len(rounds))]
+    assert any(len(groups) >= 2 and max(groups) >= 3 for groups in mixed)
 
 
 def test_norm_matches_numpy_bit_for_bit(rng):

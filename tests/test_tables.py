@@ -18,6 +18,7 @@ from finsler_billiards import (
     tangent_basis,
 )
 from finsler_billiards.tables import (
+    _grad_rows,
     _hess_rows,
     _largest_axis,
     _project,
@@ -176,6 +177,9 @@ def test_row_fields_match_the_point_kernels_bit_for_bit(semi_axes, eps, rng):
     custom = ConvexTable(table._phi_fn, table._grad_fn, table.bounding_radius, table.dim)
     assert (_hess_rows(custom, X[:20]).tobytes()
             == np.array([custom._hess(x) for x in X[:20]]).tobytes())
+    assert _grad_rows(table, X).tobytes() == grad(X).tobytes()
+    assert (_grad_rows(custom, X[:20]).tobytes()
+            == np.array([custom._grad(x) for x in X[:20]]).tobytes())
 
 
 def check_projection_rows(table, A):
@@ -412,6 +416,14 @@ def test_spec_validation_errors():
 def test_boundary_point_rejects_interior(unit_sphere):
     with pytest.raises(InvalidParameters):
         unit_sphere.boundary_point([0.5, 0.0, 0.0])
+
+
+def test_boundary_point_rejects_a_nan_phi():
+    # a NaN phi is no residual within tolerance: abs(nan) > tol is False too
+    table = ConvexTable(lambda x: float("nan") if x[0] < -1.5 else float(x @ x) - 1.0,
+                        lambda x: 2.0 * x, bounding_radius=1.0, dim=2)
+    with pytest.raises(InvalidParameters, match="not on the boundary"):
+        table.boundary_point([-2.0, 0.0])
 
 
 def user_circle(grad_phi, hess_phi=None):
