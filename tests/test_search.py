@@ -505,7 +505,6 @@ def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
                     owner = round_[1]
                     assert (np.diff(owner) >= 0).all()  # each seed's rows contiguous
         assert backtracked > 0
-        assert calls["_evaluate_stack"] + calls["_step"] == sum(len(r) for _, r in iterations)
         # the seeds: one projection per vertex, one stacked evaluation, no _grad_flat
         assert calls["project_to_boundary"] == 3 * 4
         assert (calls["_grad_rows"], rows["_grad_rows"]) == (1, 3 * 4)
