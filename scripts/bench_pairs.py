@@ -1,10 +1,11 @@
 """Time a parent and a change checkout in alternating benchmark pairs and compare search_s.
 
-Runs ``CHECKOUT/perfbench/run.py --trace 0`` of both checkouts, one run at a
-time, in ``--pairs`` pairs (at least 10 for a claim).  The parent runs first
-in odd-numbered pairs and the change in even-numbered ones.  Each run uses its
-own checkout's ``run.py`` from that checkout's root, so its output lands in
-that checkout.  Prints each pair's ``search_s``, each side's median and
+Runs ``CHECKOUT/perfbench/run.py --trace 0`` of both checkouts through
+``bench_record.run_one``, at the benchmark's run length ``bench_record.SECONDS``,
+one run at a time, in ``--pairs`` pairs (at least 10 for a claim).  The parent
+runs first in odd-numbered pairs and the change in even-numbered ones.  Each
+run uses its own checkout's ``run.py`` from that checkout's root, so its
+output lands in that checkout.  Prints each pair's ``search_s``, each side's median and
 quartiles of every end-to-end metric, the change's wins on ``search_s``, and
 whether a gain may be claimed: the change wins at least nine tenths of the
 pairs (ties count for neither side) and the medians differ by more than the
@@ -19,12 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_record import RunFailed, parse_run  # noqa: E402
+import bench_record  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 METRIC = "search_s"
@@ -60,19 +60,6 @@ def summarize(pairs: list[dict]) -> dict:
     }
 
 
-def run_one(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """End-to-end metric values of one ``run.py --trace 0`` run of a checkout."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--trace", "0", "--seconds", str(seconds)],
-        cwd=root, capture_output=True, text=True)
-    try:
-        result, _ = parse_run(proc.returncode, proc.stdout)
-    except RunFailed as exc:
-        raise RunFailed(f"{root}: {exc}\n{proc.stderr.strip()}") from None
-    return {name: m["value"] for name, m in result["metrics"].items()}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="the parent commit's checkout")
@@ -80,24 +67,24 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True, help="run.py's --seed")
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
-    parser.add_argument("--seconds", type=float, default=40.0)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
     roots = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
 
     pairs = []
-    try:
-        for pair in range(1, args.pairs + 1):
-            order = run_order(pair)
-            runs = {side: run_one(roots[side], args.workload, args.seed, args.seconds)
-                    for side in order}
-            pairs.append(runs)
-            print(f"pair {pair} ({order[0]} first): parent {runs['parent'][METRIC]:.4f} "
-                  f"change {runs['change'][METRIC]:.4f}", flush=True)
-    except RunFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    for pair in range(1, args.pairs + 1):
+        order = run_order(pair)
+        runs = {}
+        for side in order:
+            try:
+                runs[side] = bench_record.run_one(roots[side], args.workload, args.seed)["metrics"]
+            except bench_record.RunFailed as exc:
+                print(f"error: {side} ({roots[side]}): {exc}", file=sys.stderr)
+                return 1
+        pairs.append(runs)
+        print(f"pair {pair} ({order[0]} first): parent {runs['parent'][METRIC]:.4f} "
+              f"change {runs['change'][METRIC]:.4f}", flush=True)
 
     summary = summarize(pairs)
     for side in ("parent", "change"):

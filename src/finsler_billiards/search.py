@@ -46,7 +46,6 @@ from .tables import (
     _grad_rows,
     _hess_rows,
     _largest_axis,
-    _project,
     _project_rows,
     _unit_complement,
     _unit_complement_rows,
@@ -225,8 +224,7 @@ def _grad_flat(metric: FinslerMetric, table: ConvexTable, pts: np.ndarray,
 
     Vertex i's tangent frame is ``orthonormal_complement`` of its normal,
     leaving out coordinate axis drops[i]; by default its largest axis.
-    ``normals`` are ``table._grad`` at the vertices, when the caller has them
-    (``_retract`` does).
+    ``normals`` are ``table._grad`` at the vertices, when the caller has them.
     """
     r, d = pts.shape
     departing, arriving = np.empty((r, d)), np.empty((r, d))
@@ -549,28 +547,6 @@ def _jacobian(metric, table, pts, base):
     return J, ok
 
 
-def _retract(table, pts, frames, delta):
-    """Each vertex moved along its frame rows and projected; (points, their ``table._grad``)."""
-    r, d = pts.shape
-    s = delta.reshape(r, d - 1)
-    out = np.empty_like(pts)
-    normals = []
-    for i in range(r):
-        out[i], g = _project(table, pts[i] + s[i] @ frames[i])
-        normals.append(g)
-    return out, normals
-
-
-def _step(metric, table, pts, frames, delta, scale):
-    """``_retract`` and then ``_safe_grad``: (points, evaluation), or None if either fails."""
-    try:
-        cand, normals = _retract(table, pts, frames, delta)
-    except FinslerBilliardsError:
-        return None
-    ev = _safe_grad(metric, table, cand, scale, normals)
-    return None if ev is None else (cand, ev)
-
-
 def _chord_covector_rows(metric, P):
     """``_chord_covectors`` of every chord of an (n, r, d) stack, for a metric with row kernels.
 
@@ -592,12 +568,14 @@ def _chord_covector_rows(metric, P):
 
 
 def _retract_rows(table, pts, frames, steps):
-    """``_retract`` of polygons moved by each row of steps: (points, normals, ok).
+    """Polygons moved by each row of steps along their frame rows and projected.
 
     Row k moves the polygon pts[k] along its frames[k], an (n, r, d) stack and
     an (n, r, d-1, d) one; an (r, d) polygon with its r frames is moved by
-    every row.  The normals are ``table._grad`` at the points, and ok[k] is
-    False where ``_retract`` raises.
+    every row.  Vertex i of row k moves to pts[i] + steps[k, i] @ frames[i],
+    its (d-1) block of the step, and is projected as ``_project`` does, to the
+    last bit.  Returns (points, normals, ok): the normals are ``table._grad``
+    at the points, and ok[k] is False where ``_project`` raises on a vertex.
     """
     n = steps.shape[0]
     r, d = pts.shape[-2:]
@@ -605,7 +583,7 @@ def _retract_rows(table, pts, frames, steps):
     s = steps.reshape(n, r, d - 1)
     moved = np.empty((n, r, d))
     for i in range(r):
-        # a (1, d-1) row per candidate: _retract's vector-matrix product
+        # a (1, d-1) row per candidate: the vector-matrix product of one polygon
         moved[:, i] = pts[..., i, :] + np.matmul(s[:, i:i + 1], frames[..., i, :, :])[:, 0]
     P, N, ok = _project_rows(table, moved.reshape(n * r, d))
     return P.reshape(n, r, d), N.reshape(n, r, d), ok.reshape(n, r).all(axis=1)
@@ -669,8 +647,9 @@ def _evaluate_rows(metric, table, P, N, ok, scale, bound=0.0, owner=None):
 def _evaluate_stack(metric, table, pts, frames, steps, scale, bound=0.0, owner=None):
     """``_retract_rows`` and then ``_evaluate_rows``: the candidates, their evaluation and |g|.
 
-    Every value of a candidate that passes is ``_retract`` and ``_safe_grad``'s
-    to the last bit; |g| is inf where either fails.
+    Every value of a candidate that passes is ``_safe_grad``'s of its points
+    and normals to the last bit; |g| is inf where the projection or the
+    evaluation fails.
     """
     P, N, ok = _retract_rows(table, pts, frames, steps)
     ev, gn, _ = _evaluate_rows(metric, table, P, N, ok, scale, bound, owner)
@@ -688,7 +667,7 @@ def _refine(metric, table, seeds, grad_tol, scale, max_iter):
     and clips it to 0.5 scale.  Each seed then accepts the first step length
     t = 2^-k > 1e-12, in t order, whose candidate lowers |g|.  It tries them in
     groups, and the groups of all seeds go in rounds, one ``_evaluate_stack``
-    each (``_step`` for a lone candidate, which costs less).  Round 0 holds
+    each.  Round 0 holds
     every full step t = 1, each followed by the next h lengths of a seed whose
     last accepted step halved t h times.  Each later round holds the next
     group of every seed that has not accepted, twice its previous group.  A
@@ -748,15 +727,9 @@ def _refine(metric, table, seeds, grad_tol, scale, max_iter):
             ends = np.cumsum(count)
             ks = np.arange(ends[-1]) - np.repeat(ends - count - nxt[due], count)
             rows = live[owner]
-            if owner.size == 1:
-                step = _step(metric, table, P[rows[0]], ev.frames[rows[0]],
-                             _STEP_LENGTHS[ks[0]] * deltas[owner[0]], scale)
-                gns = np.array([np.inf if step is None else _norm(step[1].grad)])
-                cand, stack = (None, None) if step is None else (step[0][None], _stacked(step[1]))
-            else:
-                cand, stack, gns = _evaluate_stack(
-                    metric, table, P[rows], ev.frames[rows],
-                    _STEP_LENGTHS[ks, None] * deltas[owner], scale, gn[rows], owner)
+            cand, stack, gns = _evaluate_stack(
+                metric, table, P[rows], ev.frames[rows],
+                _STEP_LENGTHS[ks, None] * deltas[owner], scale, gn[rows], owner)
             lower = np.flatnonzero(gns < gn[rows])
             if lower.size:
                 firsts = lower[np.unique(owner[lower], return_index=True)[1]]  # in t order

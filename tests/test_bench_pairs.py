@@ -37,6 +37,7 @@ def fake_runs(times, log, correct=True):
     """subprocess.run that answers each checkout's runs from its list of search_s values."""
     def run(cmd, cwd, capture_output, text):
         side = Path(cwd).name
+        assert cmd[cmd.index("--seconds") + 1] == "40"  # the benchmark's run length
         log.append((side, cmd[cmd.index("--seed") + 1]))
         return subprocess.CompletedProcess(cmd, 0, run_stdout(times[side].pop(0), correct), "")
     return run
@@ -53,7 +54,7 @@ def test_summary_of_canned_pairs(tmp_path, monkeypatch, capsys):
     parent = [0.27, 0.26, 0.28, 0.27, 0.25, 0.29, 0.27, 0.26, 0.28, 0.27]
     change = [0.20, 0.19, 0.21, 0.20, 0.26, 0.20, 0.19, 0.21, 0.20, 0.20]
     times, log = {"parent": list(parent), "change": list(change)}, []
-    monkeypatch.setattr(bp.subprocess, "run", fake_runs(times, log))
+    monkeypatch.setattr(bp.bench_record.subprocess, "run", fake_runs(times, log))
     assert bp.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
                     "--workload", "drift3d", "--seed", "4711"]) == 0
     assert log[:4] == [("parent", "4711"), ("change", "4711"), ("change", "4711"),
@@ -90,7 +91,8 @@ def test_claim_rule(change, pairs, holds):
 def test_a_failed_run_exits_1(tmp_path, monkeypatch, capsys):
     bp = load_pairs()
     times = {"parent": [0.27], "change": [0.20]}
-    monkeypatch.setattr(bp.subprocess, "run", fake_runs(times, [], correct=False))
+    monkeypatch.setattr(bp.bench_record.subprocess, "run",
+                        fake_runs(times, [], correct=False))
     assert bp.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
                     "--workload", "drift3d", "--seed", "1"]) == 1
-    assert "error" in capsys.readouterr().err
+    assert "error: parent" in capsys.readouterr().err

@@ -26,7 +26,7 @@ from finsler_billiards import (
     rotation_number,
     trace,
 )
-from finsler_billiards.tables import _largest_axis, orthonormal_complement
+from finsler_billiards.tables import _largest_axis, _project, orthonormal_complement
 from finsler_billiards.vectors import _norm
 
 
@@ -411,8 +411,7 @@ def polygon_jacobian(metric, table, pts, base):
 def rounds_by_iteration(events):
     """Split _refine's logged calls into iterations: [(Jacobian rows, [round, ...]), ...].
 
-    A round is ("stack", owner, bound, |g|) for an _evaluate_stack or ("step",)
-    for a lone candidate's _step.
+    A round is ("stack", owner, bound, |g|), one per _evaluate_stack.
     """
     iterations = []
     for event in events:
@@ -434,18 +433,17 @@ def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
     # projected seeds are evaluated as one stack (_grad_rows for their
     # normals, then _evaluate_rows).  Each iteration builds one Jacobian
     # stack over the live seeds and then backtracks in rounds: one
-    # _evaluate_stack per round (a round of one candidate is one _step: one
-    # _retract and one _grad_flat, r chords).  Round 0 holds every live
-    # seed's rows, and each later round every seed the round before it
-    # rejected, each seed's rows contiguous.  Stacks project through
-    # _project_rows and connect no straight chord.  The Jacobian of straight
-    # chords connects no chord and projects no point, with or without a
-    # closed-form Hessian of the table.  The loop calls the raw _connect and
-    # _project; the public entries only project the seeds
+    # _evaluate_stack per round, a round of one candidate too.  Round 0 holds
+    # every live seed's rows, and each later round every seed the round
+    # before it rejected, each seed's rows contiguous.  Stacks project
+    # through _project_rows and connect no straight chord, so the loop calls
+    # neither _connect nor _grad_flat.  The Jacobian of straight chords
+    # connects no chord and projects no point, with or without a closed-form
+    # Hessian of the table.  The public entries only project the seeds
     metric, table = EuclideanMetric(), fb.ellipsoid_table([1.0, 1.3, 1.7], eps=0.02)
-    calls = dict.fromkeys(["connect", "_connect", "project_to_boundary", "_project",
-                           "_project_rows", "_grad_flat", "_retract", "_jacobian",
-                           "_evaluate_stack", "_evaluate_rows", "_grad_rows", "_step"], 0)
+    calls = dict.fromkeys(["connect", "_connect", "project_to_boundary", "_project_rows",
+                           "_grad_flat", "_jacobian", "_evaluate_stack", "_evaluate_rows",
+                           "_grad_rows"], 0)
     rows = dict.fromkeys(["_project_rows", "_evaluate_stack", "_grad_rows"], 0)
     events = []
 
@@ -459,8 +457,6 @@ def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
                 events.append((name, args[2].shape[0]))
             if name == "_evaluate_stack":
                 events.append(("stack", args[7], args[6], out[2]))
-            if name == "_step":
-                events.append(("step",))
             return out
         return wrapper
 
@@ -472,7 +468,7 @@ def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
         base = fb.search._grad_flat(metric, table, seeds[0])
         jacobian(metric, table, seeds[0], base)
         connects = calls["connect"] + calls["_connect"]
-        projections = calls["project_to_boundary"] + calls["_project"]
+        projections = calls["project_to_boundary"] + calls["_project_rows"]
         assert (connects, projections, calls["_grad_flat"]) == (3, 0, 1)
 
         calls.update(dict.fromkeys(calls, 0))
@@ -487,39 +483,41 @@ def test_newton_step_evaluates_each_polygon_once(rng, monkeypatch):
         assert iterations[0][0] == 4  # all 4 seeds in the first
         backtracked = 0
         for live, rounds in iterations:
-            first = rounds[0]
-            if first[0] == "step":
-                assert live == 1
-            else:
-                assert set(first[1].tolist()) == set(range(live))
+            assert set(rounds[0][1].tolist()) == set(range(live))
             for before, after in zip(rounds, rounds[1:]):
                 # the seeds the round before rejected, and only they, have their next group here
-                due = rejected(before) if before[0] == "stack" else [0]
-                assert due and (len(due) == 1 if after[0] == "step"
-                                else sorted(set(after[1].tolist())) == due)
+                due = rejected(before)
+                assert due and sorted(set(after[1].tolist())) == due
                 backtracked += 1
-            if rounds[-1][0] == "stack":
-                assert rejected(rounds[-1]) == []  # no seed left without a step
-            for round_ in rounds:
-                if round_[0] == "stack":
-                    owner = round_[1]
-                    assert (np.diff(owner) >= 0).all()  # each seed's rows contiguous
+            assert rejected(rounds[-1]) == []  # no seed left without a step
+            for _, owner, _, _ in rounds:
+                assert (np.diff(owner) >= 0).all()  # each seed's rows contiguous
         assert backtracked > 0
+        assert min(live for live, _ in iterations) == 1  # a lone seed's rounds are stacks too
         # the seeds: one projection per vertex, one stacked evaluation, no _grad_flat
         assert calls["project_to_boundary"] == 3 * 4
         assert (calls["_grad_rows"], rows["_grad_rows"]) == (1, 3 * 4)
         assert calls["_evaluate_rows"] == 1 + calls["_evaluate_stack"]
-        assert calls["_grad_flat"] == calls["_retract"] == calls["_step"]
-        assert calls["connect"] + calls["_connect"] == 3 * calls["_grad_flat"]
-        assert calls["_project"] == 3 * calls["_retract"]
+        assert calls["_grad_flat"] == calls["connect"] + calls["_connect"] == 0
         assert calls["_project_rows"] == calls["_evaluate_stack"]
         assert rows["_project_rows"] == 3 * rows["_evaluate_stack"]
-        # a stack holds at least two seeds' full steps or two step lengths
-        assert rows["_evaluate_stack"] >= 2 * calls["_evaluate_stack"]
+
+
+def retract(table, pts, frames, delta):
+    """The scalar retraction that _retract_rows stacks: each vertex moved along
+    its frame rows and projected; (points, their table._grad)."""
+    r, d = pts.shape
+    s = delta.reshape(r, d - 1)
+    out = np.empty_like(pts)
+    normals = []
+    for i in range(r):
+        out[i], g = _project(table, pts[i] + s[i] @ frames[i])
+        normals.append(g)
+    return out, normals
 
 
 def test_retracted_normals_give_the_evaluation_bit_for_bit(rng):
-    # _grad_flat on the normals _retract hands back equals _grad_flat that
+    # _grad_flat on the normals retract hands back equals _grad_flat that
     # takes table._grad itself, and its frames are orthonormal_complement's.
     # The stacked evaluation of the same step gives the same evaluation
     metric = MinkowskiMetric([0.2, -0.1, 0.05])
@@ -528,7 +526,7 @@ def test_retracted_normals_give_the_evaluation_bit_for_bit(rng):
         pts = random_polygon(table, 3, rng)
         ev = fb.search._grad_flat(metric, table, pts)
         delta = 0.05 * rng.standard_normal(6)
-        cand, normals = fb.search._retract(table, pts, ev.frames, delta)
+        cand, normals = retract(table, pts, ev.frames, delta)
         given = fb.search._grad_flat(metric, table, cand, normals=normals)
         own = fb.search._grad_flat(metric, table, cand)
         P, stack, gns = fb.search._evaluate_stack(metric, table, pts, ev.frames,
@@ -632,7 +630,7 @@ STACK_CASES = [
 
 
 def check_stack(metric, table, pts, ev, steps):
-    """_evaluate_stack against _retract + _safe_grad row by row; returns the failures.
+    """_evaluate_stack against retract + _safe_grad row by row; returns the failures.
 
     pts and ev are one polygon and its evaluation, moved by every step, or an
     (n, r, d) stack and a stacked evaluation, row k moved by step k.
@@ -643,7 +641,7 @@ def check_stack(metric, table, pts, ev, steps):
     for k, step in enumerate(steps):
         base, frames = (pts, ev.frames) if pts.ndim == 2 else (pts[k], ev.frames[k])
         try:
-            cand, normals = fb.search._retract(table, base, frames, step)
+            cand, normals = retract(table, base, frames, step)
         except fb.FinslerBilliardsError:
             cand_ev = None
         else:
@@ -793,7 +791,7 @@ def reference_refine(metric, table, seed_pts, grad_tol, scale, max_iter, steps=N
         accepted = False
         while t > 1e-12:
             try:
-                cand, normals = search._retract(table, pts, ev.frames, t * delta)
+                cand, normals = retract(table, pts, ev.frames, t * delta)
             except fb.FinslerBilliardsError:
                 t *= 0.5
                 halvings += 1
@@ -902,7 +900,7 @@ def test_backtracking_rounds_follow_the_seed_that_needs_most_groups(case, monkey
     # many as the one before; the halvings are the sequential line search's
     metric, table, count = REFINE_CASES[case]
     seeds = search_seeds(metric, table, 3, 0, count)
-    rounds = []  # per iteration, its _evaluate_stack and _step calls
+    rounds = []  # per iteration, its _evaluate_stack calls
 
     def counted(fn, iteration=False):
         def wrapper(*args):
@@ -914,8 +912,7 @@ def test_backtracking_rounds_follow_the_seed_that_needs_most_groups(case, monkey
         return wrapper
 
     monkeypatch.setattr(fb.search, "_jacobian", counted(fb.search._jacobian, iteration=True))
-    for name in ("_evaluate_stack", "_step"):
-        monkeypatch.setattr(fb.search, name, counted(getattr(fb.search, name)))
+    monkeypatch.setattr(fb.search, "_evaluate_stack", counted(fb.search._evaluate_stack))
     fb.search._refine(metric, table, np.array(seeds), 1e-9, table.scale, 60)
     needed = []  # per seed, the groups each of its line searches needs
     for seed_pts in seeds:
