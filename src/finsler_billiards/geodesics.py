@@ -343,7 +343,7 @@ def _march_to_boundary(metric: FinslerMetric, table: ConvexTable,
         return table._phi(x), float(table._grad(x) @ path.tangent(s))
 
     if metric.flat_geodesics:
-        if table._phi(path.point(s_min)) >= 0.0:
+        if not table._phi(path.point(s_min)) < 0.0:  # also catches NaN
             raise GrazingDeparture("flight starts on or outside the boundary")
         # this one evaluation of the outer end is both the bracket check and the
         # root's first iterate
@@ -370,11 +370,12 @@ def _arc_exit(phi, bounds, radius: float, s: float, horizon: float, scale: float
     the first crossing, and near a transversal one the gap shrinks
     quadratically, until h <= 1e-14 * scale.  Without bounds the arc is
     probed every scale/128.  A step that lands on or past the boundary, a
-    probe or a certified step that rounding carried over, closes a bracket.
+    probe or a certified step that rounding carried over, closes a bracket,
+    and a probe where phi is NaN raises ``NoExit``.
     """
     xtol = 1e-14 * scale
     f, df = phi(s)
-    if f >= 0.0:
+    if not f < 0.0:  # also catches NaN
         raise GrazingDeparture("flight starts on or outside the boundary")
     M = None if bounds is None else bounds[0] + bounds[1] / radius
     while True:
@@ -392,6 +393,8 @@ def _arc_exit(phi, bounds, radius: float, s: float, horizon: float, scale: float
         at_next = phi(s_next)
         if at_next[0] >= 0.0:
             return _bracketed_root(phi, s, s_next, at_next, xtol)
+        if not at_next[0] < 0.0:
+            raise NoExit("phi is NaN along the arc")
         s, (f, df) = s_next, at_next
 
 

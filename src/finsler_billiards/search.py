@@ -200,8 +200,8 @@ def length_function(metric: FinslerMetric, polygon) -> float:
 class _Evaluation(NamedTuple):
     """``_grad_flat``'s result; row j of departing/arriving belongs to chord j -> j+1.
 
-    A stack of evaluations (``_evaluate_stack``, ``_stacked``) holds each
-    field as one array with a leading polygon axis.
+    A stack of evaluations (``_evaluate_stack``, or ``_stacked`` of a list)
+    holds each field as one array with a leading polygon axis.
     """
 
     grad: np.ndarray  # flattened to r*(d-1)
@@ -275,15 +275,17 @@ def _group(items, tol):
     residual replaces the representative.
     """
     groups = []
+    reps = np.empty((len(items), *np.shape(items[0][0]))) if items else None
     for pts, gn, poly, count in items:
-        near = (np.flatnonzero(_zr_distance(np.array([g[0] for g in groups]), pts) <= tol)
-                if groups else [])
+        near = np.flatnonzero(_zr_distance(reps[:len(groups)], pts) <= tol) if groups else []
         if len(near) == 0:
+            reps[len(groups)] = pts
             groups.append([pts, gn, poly, count])
             continue
         g = groups[near[0]]
         g[3] += count
         if gn < g[1]:
+            reps[near[0]] = pts
             g[0], g[1], g[2] = pts, gn, poly
     return groups
 
@@ -334,17 +336,27 @@ def _canonical_rotation(pts: np.ndarray, tol: float) -> tuple[tuple, int]:
     raise AmbiguousCanonicalization("cyclic rotations tie under rounding but differ beyond it")
 
 
-def _at_canonical_rotation(record: OrbitRecord, cluster_tol: float) -> OrbitRecord:
-    """The record with its polygon's vertices and segments rolled to the canonical rotation.
+def _reported(record: OrbitRecord, cluster_tol: float, dim: int) -> OrbitRecord:
+    """A merged record with its canonical key and flags, rolled to the canonical rotation.
 
-    The polygon starts at the vertex that ``canonicalize`` puts first.  Its
-    cyclic length and shortest edge do not depend on the start, and the edge
-    product is taken again in the new order.
+    One ``_canonical_rotation`` gives the key and the vertex that
+    ``canonicalize`` puts first, where the polygon then starts.  Its cyclic
+    length and shortest edge do not depend on the start, and the edge product
+    is taken again in the new order.  The flags, in order: continuum-suspect
+    (a degenerate Hessian), multiple-cover, reversal-symmetric and, on a
+    planar table, zero-winding (no rotation number).
     """
     poly = record.polygon
-    _, s = _canonical_rotation(poly.positions(), float(cluster_tol))
+    pts = poly.positions()
+    key, s = _canonical_rotation(pts, float(cluster_tol))
+    flags = tuple(name for name, holds in (
+        ("continuum-suspect", record.degeneracy > 0),
+        ("multiple-cover", any(np.max(np.abs(pts - np.roll(pts, -k, axis=0))) <= cluster_tol
+                               for k in range(1, poly.r) if poly.r % k == 0)),
+        ("reversal-symmetric", _zr_distance(pts, pts[::-1]) <= cluster_tol),
+        ("zero-winding", dim == 2 and record.rotation_number is None)) if holds)
     segments = poly.segments[s:] + poly.segments[:s]
-    return replace(record, polygon=replace(
+    return replace(record, canonical_key=key, flags=flags, polygon=replace(
         poly, vertices=poly.vertices[s:] + poly.vertices[:s], segments=segments,
         edge_product=float(math.prod(seg.length for seg in segments))))
 
@@ -372,32 +384,38 @@ def rotation_number(polygon, centroid=None) -> int:
 
 
 def morse_index(metric: FinslerMetric, table: ConvexTable, polygon,
-                eig_tol: float | None = None) -> tuple[int, int]:
-    """(index, degeneracy) of the chart Hessian of the cyclic length.
+                eig_tol: float | None = None) -> tuple[int, int] | list[tuple[int, int]]:
+    """(index, degeneracy) of the chart Hessian of the cyclic length; K of them for a stack.
 
-    The chart Hessian is the symmetrised Newton Jacobian (``_jacobian`` on a
-    stack of one) of the projected gradient on boundary charts anchored at
-    the polygon, the same for every metric and table.  Eigenvalues below
-    -eig_tol count toward the index, eigenvalues within eig_tol of zero are
-    reported as degeneracy.  Valid at critical points, where the chart
-    curvature terms drop out.
+    ``polygon`` is one polygon, or a (K, r, d) stack of them that gives a
+    list of K pairs.  The chart Hessian is the symmetrised Newton Jacobian of
+    the projected gradient on boundary charts anchored at the polygon, the
+    same for every metric and table.  Each polygon is evaluated by
+    ``_safe_grad``; their Jacobians are one ``_jacobian`` over the stack and
+    their spectra one batched ``eigvalsh``, so a polygon's pair does not
+    depend on the rest of its stack (a single polygon is a stack of one).
+    Eigenvalues below -eig_tol count toward the index, eigenvalues within
+    eig_tol of zero are reported as degeneracy.  Valid at critical points,
+    where the chart curvature terms drop out.  Raises if any polygon of the
+    stack has coincident vertices or no chart Hessian.
     """
-    pts = _points_array(polygon, table.dim)
     scale = table.scale
     tol = eig_tol if eig_tol is not None else _EIG_TOL_REL * scale
     _check_tol("eig_tol", tol)
-    if not _check_distinct(pts, scale):
+    single = np.ndim(polygon) != 3
+    stack = [_points_array(p, table.dim) for p in ([polygon] if single else polygon)]
+    if not stack:
+        return []
+    if not all(_check_distinct(pts, scale) for pts in stack):
         raise CoincidentPoints("consecutive vertices coincide within tolerance")
-    base = _safe_grad(metric, table, pts, scale)
-    J, ok = (None, [False]) if base is None else _jacobian(metric, table, pts[None],
-                                                          _stacked(base))
-    if not ok[0]:
+    bases = [_safe_grad(metric, table, pts, scale) for pts in stack]
+    J, ok = ((None, [False]) if any(base is None for base in bases)
+             else _jacobian(metric, table, np.array(stack), _stacked(bases)))
+    if not np.all(ok):
         raise InvalidParameters("the chart Hessian is undefined at this polygon")
-    J = J[0]
-    eigs = np.linalg.eigvalsh(0.5 * (J + J.T))
-    index = int(np.sum(eigs < -tol))
-    degeneracy = int(np.sum(np.abs(eigs) <= tol))
-    return index, degeneracy
+    eigs = np.linalg.eigvalsh(0.5 * (J + J.transpose(0, 2, 1)))
+    pairs = [(int(np.sum(e < -tol)), int(np.sum(np.abs(e) <= tol))) for e in eigs]
+    return pairs[0] if single else pairs
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +432,9 @@ def _safe_grad(metric, table, pts, scale, normals=None) -> _Evaluation | None:
         return None
 
 
-def _stacked(ev: _Evaluation) -> _Evaluation:
-    """A polygon's evaluation as a stack of one, each field with a leading axis."""
-    return _Evaluation(*(np.array([field]) for field in ev))
+def _stacked(evs: list[_Evaluation]) -> _Evaluation:
+    """A list of polygons' evaluations as one stack, each field with a leading polygon axis."""
+    return _Evaluation(*(np.array(field) for field in zip(*evs)))
 
 
 def _rows(ev: _Evaluation, k) -> _Evaluation:
@@ -490,7 +508,7 @@ def _jacobian(metric, table, pts, base):
     """Jacobians of the projected gradient at each polygon of an (n, r, d) stack.
 
     ``base`` is the stack's evaluation, each field with a leading polygon axis
-    (``_evaluate_stack``'s, or ``_stacked`` of ``_grad_flat``'s).  Returns
+    (``_evaluate_stack``'s, or ``_stacked`` of a list of ``_grad_flat``'s).  Returns
     (J, ok): J[k] is polygon k's (r(d-1), r(d-1)) Jacobian, and ok[k] is False
     where a chord's derivative fails.  Row block i is the derivative of
     g_i = F_i c_i, with c_i = arr_{i-1} - dep_i the difference of the Legendre
@@ -790,11 +808,13 @@ def find_critical(metric: FinslerMetric, table: ConvexTable, r: int,
 
     Seeds alternate between random spaced r-tuples and near-closing billiard
     traces.  Converged polygons are filtered by the edge-product and minimum
-    edge guards and deduplicated modulo cyclic relabeling.  Hessian-degenerate
-    classes are flagged ``continuum-suspect`` and reported once per critical
-    family (see ``_merge_families``).  Each record's polygon starts at the
-    vertex its canonical key starts at, and records are sorted by cyclic
-    length.
+    edge guards and deduplicated modulo cyclic relabeling.  One ``morse_index``
+    call takes the indices of all class representatives as a stack.
+    Hessian-degenerate classes are flagged ``continuum-suspect`` and reported
+    once per critical family (see ``_merge_families``).  Only then does each
+    reported record get its canonical key and flags (``_reported``); its
+    polygon starts at the vertex its key starts at, and records are sorted by
+    cyclic length.
     """
     _check_int("period r", r, 2)
     if metric.dim is not None and metric.dim != table.dim:
@@ -839,34 +859,20 @@ def find_critical(metric: FinslerMetric, table: ConvexTable, r: int,
         polygons.append((pts, gn, poly, 1))
 
     cluster_tol = params["cluster_tol"]
+    classes = _group(polygons, cluster_tol)
+    pairs = morse_index(metric, table, np.array([g[0] for g in classes])) if classes else []
     records = []
-    for pts, gn, poly, count in _group(polygons, cluster_tol):
-        flags = []
-        index, degeneracy = morse_index(metric, table, poly)
-        if degeneracy > 0:
-            flags.append("continuum-suspect")
-        if any(np.max(np.abs(pts - np.roll(pts, -k, axis=0))) <= cluster_tol
-               for k in range(1, poly.r) if poly.r % k == 0):
-            flags.append("multiple-cover")
-        if _zr_distance(pts, pts[::-1]) <= cluster_tol:
-            flags.append("reversal-symmetric")
+    for (_, gn, poly, count), (index, degeneracy) in zip(classes, pairs):
         rot = None
         if table.dim == 2:
             try:
                 rot = rotation_number(poly, centroid=table.centroid)
             except ZeroWinding:
-                flags.append("zero-winding")
+                pass  # flagged zero-winding by _reported
         records.append(OrbitRecord(
-            polygon=poly,
-            residual=gn,
-            morse_index=index,
-            degeneracy=degeneracy,
-            rotation_number=rot,
-            canonical_key=canonicalize(poly, cluster_tol),
-            flags=tuple(flags),
-            multiplicity=count,
-        ))
-    records = [_at_canonical_rotation(rec, cluster_tol)
+            polygon=poly, residual=gn, morse_index=index, degeneracy=degeneracy,
+            rotation_number=rot, canonical_key=(), flags=(), multiplicity=count))
+    records = [_reported(rec, cluster_tol, table.dim)
                for rec in _merge_families(records, _FAMILY_LAMBDA_REL * scale)]
     records.sort(key=lambda rec: (rec.polygon.lambda_value, rec.canonical_key))
     return records

@@ -383,6 +383,23 @@ def test_chord_root_at_a_nan_phi_does_not_converge(radius, outer):
                            np.array([-0.945, 0.326]))
 
 
+@pytest.mark.parametrize("metric", [EuclideanMetric(), MagneticMetric(0.5)],
+                         ids=["chord", "arc"])
+def test_flight_from_a_nan_phi_is_grazing(metric):
+    # phi is NaN where the flight starts; `phi >= 0` let it through, and the
+    # chord returned the crossing (1, 0)
+    with pytest.raises(GrazingDeparture):
+        _march_to_boundary(metric, nan_beyond(0.0, 0.1), np.zeros(2), np.array([1.0, 0.0]))
+
+
+def test_arc_through_a_nan_phi_has_no_exit():
+    # a probe lands where phi is NaN; `phi >= 0` read it as inside, and the arc
+    # marched on to a "crossing" at (0.968, -0.25)
+    with pytest.raises(NoExit):
+        _march_to_boundary(MagneticMetric(0.5), nan_beyond(0.5, 0.7), np.zeros(2),
+                           np.array([1.0, 0.0]))
+
+
 def test_intersect_rejects_grazing_and_outward(unit_circle):
     y = unit_circle.boundary_point([1.0, 0.0])
     with pytest.raises(GrazingDeparture):

@@ -16,6 +16,7 @@ from finsler_billiards import (
     SearchConfig,
     ZeroWinding,
     canonicalize,
+    cli,
     find_critical,
     grad_length,
     in_g_epsilon,
@@ -197,13 +198,12 @@ def test_morse_index_two_bounce_orbit(semi_axes, axis, expected):
 
 def evaluation_stack(metric, table, polygons):
     """_grad_flat of each polygon, as one stacked evaluation."""
-    evaluations = [fb.search._grad_flat(metric, table, p) for p in polygons]
-    return fb.search._Evaluation(*(np.array(field) for field in zip(*evaluations)))
+    return fb.search._stacked([fb.search._grad_flat(metric, table, p) for p in polygons])
 
 
 def jacobian(metric, table, pts, base):
     """The one Jacobian assembly on a stack of one polygon; None where it fails."""
-    J, ok = fb.search._jacobian(metric, table, pts[None], fb.search._stacked(base))
+    J, ok = fb.search._jacobian(metric, table, pts[None], fb.search._stacked([base]))
     return J[0] if ok[0] else None
 
 
@@ -369,8 +369,9 @@ def test_larmor_diameter_has_no_chart_hessian(unit_circle):
         warnings.simplefilter("error")
         assert jacobian(metric, unit_circle, pts, base) is None
         J, ok = fb.search._jacobian(metric, unit_circle, stack, stacked)
-        with pytest.raises(InvalidParameters, match="chart Hessian is undefined"):
-            morse_index(metric, unit_circle, pts)
+        for polygon in (pts, stack):
+            with pytest.raises(InvalidParameters, match="chart Hessian is undefined"):
+                morse_index(metric, unit_circle, polygon)
     assert ok.tolist() == [True, False, True]
     ref = polygon_jacobian(metric, unit_circle, other, fb.search._rows(stacked, 0))
     assert J[0].tobytes() == J[2].tobytes() == ref.tobytes()
@@ -936,8 +937,73 @@ def test_norm_matches_numpy_bit_for_bit(rng):
 
 
 def test_morse_index_rejects_coincident_vertices(unit_circle):
-    with pytest.raises(InvalidParameters):
-        morse_index(EuclideanMetric(), unit_circle, circle_polygon([0, 0, 180]))
+    coincident = circle_polygon([0, 0, 180])
+    for polygon in (coincident, np.array([circle_polygon([90, 210, 330]), coincident])):
+        with pytest.raises(fb.CoincidentPoints):
+            morse_index(EuclideanMetric(), unit_circle, polygon)
+
+
+# the benchmark workloads' geometry and seed budgets: (metric, table, seeds)
+WORKLOAD_GEOMETRY = {
+    "drift3d": ({"kind": "minkowski", "alpha": [0.2, 0.0, 0.0]},
+                {"kind": "ellipsoid", "semi_axes": [1.0, 1.3, 1.7],
+                 "perturbation": {"eps": 0.02, "coeffs": [1.0, 1.0, 1.0]}}, 20),
+    "magnetic2d": ({"kind": "magnetic", "B": 0.1},
+                   {"kind": "ellipsoid", "semi_axes": [1.2, 1.0]}, 25),
+    "disk": ({"kind": "euclidean"}, {"kind": "ellipsoid", "semi_axes": [1.0, 1.0]}, 120),
+}
+
+
+def spied_search(monkeypatch, metric, table, cfg):
+    """find_critical's records, the polygons it gives morse_index and its _canonical_rotation count."""
+    morse, canonical = fb.search.morse_index, fb.search._canonical_rotation
+    stacks, rotations = [], []
+
+    def morse_spy(metric, table, polygon, eig_tol=None):
+        stacks.append(polygon)
+        return morse(metric, table, polygon, eig_tol)
+
+    def canonical_spy(pts, tol):
+        rotations.append(pts)
+        return canonical(pts, tol)
+
+    with monkeypatch.context() as m:
+        m.setattr(fb.search, "morse_index", morse_spy)
+        m.setattr(fb.search, "_canonical_rotation", canonical_spy)
+        records = find_critical(metric, table, 3, cfg)
+    return records, stacks, len(rotations)
+
+
+@pytest.mark.parametrize("name", list(WORKLOAD_GEOMETRY))
+def test_stacked_morse_index_matches_single_calls_bit_for_bit(name, monkeypatch):
+    # the stack of a search's class representatives gives each class the pair,
+    # and the spectrum, of a call on that class alone
+    metric_spec, table_spec, seeds = WORKLOAD_GEOMETRY[name]
+    metric, table = cli._build_geometry({"metric": metric_spec, "table": table_spec})
+    _, (stack,), _ = spied_search(monkeypatch, metric, table,
+                                  SearchConfig(seeds=seeds, rng_seed=0))
+    assert stack.shape[1:] == (3, table.dim) and len(stack) >= 2
+    eigvalsh, spectra = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(eigvalsh(a)) or spectra[-1])
+    pairs = morse_index(metric, table, stack)
+    assert pairs == [morse_index(metric, table, pts) for pts in stack]
+    batched, *alone = spectra
+    assert len(batched) == len(alone) == len(stack)
+    assert all(b.tobytes() == a[0].tobytes() for b, a in zip(batched, alone))
+
+
+def test_one_morse_pass_per_search_and_one_canonical_rotation_per_record(
+        unit_circle, bumpy_ellipsoid, monkeypatch):
+    # the disk's classes merge into a few families: only the reported records
+    # take a canonical rotation.  A search without classes takes no Morse pass
+    for table, classes, reported in ((unit_circle, 40, 2), (bumpy_ellipsoid, 9, 9)):
+        records, stacks, rotations = spied_search(monkeypatch, EuclideanMetric(), table,
+                                                  SearchConfig(seeds=40, rng_seed=1))
+        assert [len(stack) for stack in stacks] == [classes]
+        assert rotations == len(records) == reported
+    records, stacks, rotations = spied_search(monkeypatch, EuclideanMetric(), unit_circle,
+                                              SearchConfig(seeds=4, max_iter=1))
+    assert (records, stacks, rotations) == ([], [], 0)
 
 
 # ---------------------------------------------------------------------------
